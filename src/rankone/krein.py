@@ -97,9 +97,9 @@ def krein_denominator(r1: DenseOperator, z: complex, p: RankOneForm) -> complex:
     return 1.0 + complex(z) * pair(p.l, deflect(r1, z, p.f))
 
 
-def default_tol(z: complex, p: RankOneForm) -> float:
-    """Eigenvalue-hit band, scaled because the denominator grows with z."""
-    return 1e-10 * (1.0 + abs(z) * p.f.norm() * p.l.norm())
+def default_tol(z: complex, f_norm: float, l_norm: float) -> float:
+    """Eigenvalue-hit band 1e-10 * (1 + |z| ||f|| ||l||), scaled because the denominator grows with z."""
+    return 1e-10 * (1.0 + abs(z) * f_norm * l_norm)
 
 
 def resolvent_difference(
@@ -112,7 +112,7 @@ def resolvent_difference(
     the tolerance band around zero.
     """
     if tol is None:
-        tol = default_tol(z, p)
+        tol = default_tol(z, p.f.norm(), p.l.norm())
     z = complex(z)
     left = deflect(r1, z, p.f)
     right = -p.l + z * (p.l @ r1)

@@ -45,9 +45,9 @@ class SingularInverse:
 PerturbedInverseResult = RegularInverse | SingularInverse
 
 
-def default_tol(a_inv: DenseOperator, p: RankOneForm) -> float:
+def default_tol(l_a_inv_f: complex) -> float:
     """Relative band around the singular manifold: 1e-10 * (1 + |<l|A^-1 f>|)."""
-    return 1e-10 * (1.0 + abs(pair(p.l, a_inv @ p.f)))
+    return 1e-10 * (1.0 + abs(l_a_inv_f))
 
 
 def denominator(a_inv: DenseOperator, p: RankOneForm) -> complex:
@@ -66,10 +66,11 @@ def perturbed_inverse(
     the null vector A^-1 f.
     """
     _check_dims(a_inv.dim, p.dim)
-    if tol is None:
-        tol = default_tol(a_inv, p)
     u = a_inv @ p.f
-    den = 1.0 - pair(p.l, u)
+    l_u = pair(p.l, u)
+    if tol is None:
+        tol = default_tol(l_u)
+    den = 1.0 - l_u
     if abs(den) > tol:
         correction = outer(u, p.l @ a_inv) * (1.0 / den)
         return RegularInverse(correction=correction, denominator=den)
@@ -90,9 +91,10 @@ def solve_perturbed(
     _check_dims(a_inv.dim, w.dim)
     t_f = a_inv @ p.f
     t_w = a_inv @ w
+    l_t_f = pair(p.l, t_f)
     if tol is None:
-        tol = 1e-10 * (1.0 + abs(pair(p.l, t_f)))
-    den = 1.0 - pair(p.l, t_f)
+        tol = default_tol(l_t_f)
+    den = 1.0 - l_t_f
     if abs(den) <= tol:
         raise SingularPerturbationError(
             f"perturbation denominator {den:.3e} within tolerance {tol:.3e} of zero"
@@ -117,13 +119,15 @@ def null_space_certificate(
     pairing_ok = abs(pair(p.l, v0)) > tol * max(1.0, p.l.norm() * v0.norm())
 
     u = a_inv @ p.f
-    den = 1.0 - pair(p.l, u)
-    denominator_ok = abs(den) <= tol * (1.0 + abs(pair(p.l, u)))
+    l_u = pair(p.l, u)
+    denominator_ok = abs(1.0 - l_u) <= tol * (1.0 + abs(l_u))
 
     nu, nv = u.norm(), v0.norm()
     if nu == 0.0:
         return False
-    cos2 = abs(np.vdot(u.entries, v0.entries)) ** 2 / (nu * nv) ** 2
-    collinear_ok = np.sqrt(max(0.0, 1.0 - cos2)) <= tol
+    # Sine of the angle from the residual of projecting v0 on u:
+    # sqrt(1 - cos^2) would have a rounding floor near 1.5e-8, above the default tol.
+    projection = u.entries * (np.vdot(u.entries, v0.entries) / nu**2)
+    collinear_ok = np.linalg.norm(v0.entries - projection) / nv <= tol
 
     return bool(pairing_ok and denominator_ok and collinear_ok)

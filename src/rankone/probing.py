@@ -22,9 +22,8 @@ from .core import (
     Vector,
     _check_dims,
     pair,
-    rank_estimate,
 )
-from .krein import EigenvalueHitError, ResolventDifference
+from .krein import EigenvalueHitError, ResolventDifference, default_tol
 
 ADMISSIBILITY_RTOL = 1e-12
 RANK_TOL = 1e-10
@@ -74,25 +73,33 @@ def coordinate_probe(d: DenseOperator, i: int, j: int) -> Probe:
     )
 
 
-def _require_admissible(d: DenseOperator, probe: Probe):
-    if abs(probe.pairing) <= ADMISSIBILITY_RTOL * d.norm_max():
+def _require_admissible(d: DenseOperator, probe: Probe) -> float:
+    """Check the probe pairing against ||D||_max and return that norm."""
+    d_max = d.norm_max()
+    if abs(probe.pairing) <= ADMISSIBILITY_RTOL * d_max:
         raise InadmissibleProbeError(
             f"probe pairing {probe.pairing:.3e} below admissibility threshold"
         )
+    return d_max
 
 
 def recover_factors(d: DenseOperator, probe: Probe, check_rank: bool = True) -> RankOneForm:
     """Factor D = |f1><l1| from its action on the probe pair.
 
-    Refuses when rank_estimate(D) > 1: the identities require exact
-    rank one and a best rank-one fit would be silently wrong.
+    Refuses when the reconstruction residual ||D - |f1><l1|||_max
+    exceeds RANK_TOL * ||D||_max: the identities require exact rank one
+    and a best rank-one fit would be silently wrong.  The residual is
+    zero exactly when D has rank one, and costs O(n^2).
     """
     _check_dims(d.dim, probe.f0.dim)
-    _require_admissible(d, probe)
-    if check_rank and rank_estimate(d, RANK_TOL) > 1:
-        raise NotRankOneError("difference operator has rank > 1")
+    d_max = _require_admissible(d, probe)
     f1 = (d @ probe.f0) * (1.0 / probe.pairing)
     l1 = probe.l0 @ d
+    if check_rank:
+        residual = np.outer(f1.entries, l1.weights)
+        residual -= d.matrix
+        if np.max(np.abs(residual)) > RANK_TOL * d_max:
+            raise NotRankOneError("difference operator has rank > 1")
     return RankOneForm(f=f1, l=l1)
 
 
@@ -115,20 +122,21 @@ def resolvent_difference_factor_free(
 
     The denominator 1 + z <l|(-I + z R1) f> is evaluated through the
     probe quotient with S = -I + z R1; the returned factors span the
-    same rank-one operator as the factor-based path.
+    same rank-one operator as the factor-based path.  S is only ever
+    applied to D f0 and l0 D, so the cost is a handful of matvecs.
     """
     z = complex(z)
     _require_admissible(d, probe)
-    s = z * r1 - DenseOperator.identity(r1.dim)
-    den = 1.0 + z * bilinear_value(d, s, probe)
+    d_f0 = d @ probe.f0
+    l0_d = probe.l0 @ d
+    s_d_f0 = z * (r1 @ d_f0) - d_f0
+    den = 1.0 + z * pair(l0_d, s_d_f0) / probe.pairing
     if tol is None:
-        f_norm = (d @ probe.f0).norm() / abs(probe.pairing)
-        l_norm = (probe.l0 @ d).norm()
-        tol = 1e-10 * (1.0 + abs(z) * f_norm * l_norm)
+        tol = default_tol(z, d_f0.norm() / abs(probe.pairing), l0_d.norm())
     if abs(den) <= tol:
         raise EigenvalueHitError(
             f"denominator {den:.3e} vanishes at z={z}: z is a new eigenvalue"
         )
-    left = (s @ (d @ probe.f0)) * (1.0 / probe.pairing)
-    right = (probe.l0 @ d) @ s
+    left = s_d_f0 * (1.0 / probe.pairing)
+    right = z * (l0_d @ r1) - l0_d
     return ResolventDifference(left=left, right=right, denominator=den)

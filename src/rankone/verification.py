@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.integrate
 
 from . import discretize, krein, laplace, probing
 from .core import DenseOperator, Functional, RankOneForm, Vector, invert, outer, pair, rank_estimate
@@ -324,6 +323,8 @@ def check_denominator_consistency_chain(seed: int) -> InvariantResult:
 
 
 def _quadrature_pairing(s: SpectralPoint) -> complex:
+    import scipy.integrate  # deferred: the only user, and a quarter of the package's cold import
+
     k = s.k
 
     def integrand(t: float) -> complex:

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rankone import laplace
-from rankone.core import Functional, RankOneForm, Vector, invert, rank_estimate
+from rankone.core import DenseOperator, Functional, RankOneForm, Vector, invert, rank_estimate
 from rankone.discretize import (
     Grid,
     SpectrumHitError,
@@ -106,11 +106,34 @@ def test_resolvent_tracks_analytic_kernel():
             assert r1.matrix[i, j] / h == pytest.approx(analytic, abs=5e-3)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_resolvent_small_sizes_match_dense_inverse(n):
+    pair = build_pair(n)
+    for t in (pair.t_dd, pair.t_dn):
+        for z in (0.0, 1.5, 3.0 - 2.0j):
+            oracle = np.linalg.inv(z * np.eye(n) - t.matrix)
+            assert_allclose(resolvent(t, z).matrix, oracle, rtol=1e-13, atol=1e-13 * np.abs(oracle).max())
+
+
 def test_resolvent_rejects_spectrum_hit():
     pair = build_pair(30)
     z0 = float(dd_eigenvalues(pair)[0])
     with pytest.raises(SpectrumHitError):
         resolvent(pair.t_dd, z0)
+
+
+def test_resolvent_rejects_non_tridiagonal_operator():
+    t = build_pair(6).t_dd.matrix.copy()
+    t[0, 2] = 1.0
+    with pytest.raises(ValueError):
+        resolvent(DenseOperator(t), 1.0)
+
+
+@pytest.mark.parametrize("n", [2, 50])
+def test_dd_eigenvalues_closed_form_matches_eigensolve(n):
+    pair = build_pair(n)
+    dense = np.linalg.eigvalsh(pair.t_dd.matrix)
+    assert_allclose(dd_eigenvalues(pair), dense, rtol=1e-12, atol=1e-12 * dense.max())
 
 
 def test_discrete_new_eigenvalues_first_value():
@@ -154,6 +177,16 @@ def test_denominator_function_matches_matrix_path():
     for z in (0.7, 5.3, 1.0 + 2.0j):
         direct = krein_denominator(resolvent(pair.t_dd, z), z, form)
         assert d_fn(z) == pytest.approx(direct, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_denominator_function_smallest_grids(n):
+    pair = build_pair(n)
+    d_fn = krein_denominator_function(pair)
+    form = RankOneForm(pair.f_vec, pair.l_fun)
+    for z in (0.7, 1.0 + 2.0j, -3.0 - 0.5j):
+        direct = krein_denominator(resolvent(pair.t_dd, z), z, form)
+        assert d_fn(z) == pytest.approx(direct, abs=1e-12)
 
 
 def test_static_deviation_stays_at_noise_floor():

@@ -135,6 +135,17 @@ def test_certificate_on_crafted_singular_instance():
     assert null_space_certificate(a_inv, form, (2.0 - 1.0j) * v0)
 
 
+def test_certificate_accepts_own_null_vector():
+    # Taking the sine as sqrt(1 - cos^2) left a rounding floor of ~1.5e-8,
+    # above the default tol, and rejected about a third of these.
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        _, a_inv, form = singular_instance(rng, int(rng.integers(4, 65)))
+        result = perturbed_inverse(a_inv, form)
+        assert isinstance(result, SingularInverse)
+        assert null_space_certificate(a_inv, form, result.null_vector), seed
+
+
 @pytest.mark.parametrize("dim", [3, 8, 32])
 def test_regular_residual_invariant(dim):
     rng = np.random.default_rng(100 + dim)

@@ -78,6 +78,23 @@ def test_recover_factors_refuses_higher_rank():
         recover_factors(DenseOperator.identity(3), coordinate_probe(DenseOperator.identity(3), 0, 0))
 
 
+def test_recover_factors_refuses_small_second_rank():
+    rng = np.random.default_rng(41)
+    d = outer(seeded_vector(rng, 12), seeded_functional(rng, 12))
+    d = d + 1e-6 * outer(seeded_vector(rng, 12), seeded_functional(rng, 12))
+    with pytest.raises(NotRankOneError):
+        recover_factors(d, choose_probe(d))
+
+
+def test_recover_factors_accepts_large_testbed_difference():
+    pair_ = discretize.build_pair(1200)
+    d = discretize.inverse_difference(pair_)
+    form = recover_factors(d, choose_probe(d))
+    x = pair_.grid.nodes
+    exact = pair_.grid.h * np.outer(x, x)
+    assert np.max(np.abs(form.materialize().matrix - exact)) <= 1e-10 * np.max(exact)
+
+
 def test_recover_factors_rejects_inadmissible_probe():
     d = outer(Vector([1, 0]), Functional([0, 1]))
     bad = coordinate_probe(d, 0, 0)  # D[0,0] = 0
