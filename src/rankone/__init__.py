@@ -10,6 +10,7 @@ from .core import (
     DenseOperator,
     DimensionMismatchError,
     Functional,
+    Operator,
     RankOneForm,
     SingularMatrixError,
     Vector,
@@ -49,6 +50,7 @@ from .discretize import (
     DiscretePair,
     Grid,
     SpectrumHitError,
+    Tridiagonal,
     build_pair,
     discrete_new_eigenvalues,
     inverse_difference,
@@ -65,6 +67,7 @@ __all__ = [
     "EigenvalueHitError",
     "Functional",
     "Grid",
+    "Operator",
     "Probe",
     "RankOneForm",
     "RegularInverse",
@@ -74,6 +77,7 @@ __all__ = [
     "SingularPerturbationError",
     "SpectralPoint",
     "SpectrumHitError",
+    "Tridiagonal",
     "Vector",
     "bilinear_value",
     "build_pair",

@@ -4,8 +4,8 @@ Commands: greens, eigs, resolvent-diff, perturb, recover, verify.
 Data goes to stdout as CSV (header row, 17 significant digits) or JSON
 (the full record: command, parameters, columns, rows, status);
 diagnostics go to stderr.  Exit codes: 0 success, 1 invariant failure,
-2 spectral pole hit, 3 input error.  All randomness is seeded, so
-output is byte-identical for identical command, flags and seed.
+2 spectral pole hit, 3 input error, 4 out of memory.  All randomness is
+seeded, so output is byte-identical for identical command, flags and seed.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ EXIT_OK = 0
 EXIT_INVARIANT_FAILURE = 1
 EXIT_SPECTRAL_POLE = 2
 EXIT_INPUT_ERROR = 3
+EXIT_RESOURCE_ERROR = 4
 
 
 class InputError(ValueError):
@@ -169,16 +170,16 @@ def cmd_resolvent_diff(args) -> OutputRecord:
     r1 = discretize.resolvent(pair_.t_dd, args.z)
     factored = krein.resolvent_difference(r1, args.z, form)
     factor_free = probing.resolvent_difference_factor_free(r1, args.z, d, probe)
-    brute = discretize.resolvent(pair_.t_dn, args.z) - r1
-    dev_factored = float(np.max(np.abs(factored.materialize().matrix - brute.matrix)))
-    dev_factor_free = float(np.max(np.abs(factor_free.materialize().matrix - brute.matrix)))
+    brute = (discretize.resolvent(pair_.t_dn, args.z) - r1).matrix
+    dev_factored = float(np.max(np.abs(factored.materialize().matrix - brute)))
+    dev_factor_free = float(np.max(np.abs(factor_free.materialize().matrix - brute)))
     record = OutputRecord("resolvent-diff", params, ["quantity", "value"])
     record.rows = [
         ("denominator_re", factored.denominator.real),
         ("denominator_im", factored.denominator.imag),
         ("max_abs_dev_factored_vs_brute", dev_factored),
         ("max_abs_dev_factor_free_vs_brute", dev_factor_free),
-        ("brute_force_max_abs", float(np.max(np.abs(brute.matrix)))),
+        ("brute_force_max_abs", float(np.max(np.abs(brute)))),
     ]
     return record
 
@@ -264,7 +265,8 @@ def cmd_recover(args) -> OutputRecord:
     d = discretize.inverse_difference(pair_)
     probe = probing.choose_probe(d)
     form = probing.recover_factors(d, probe)
-    residual = float(np.max(np.abs(form.materialize().matrix - d.matrix))) / d.norm_max()
+    dense = DenseOperator(d.matrix)
+    residual = float(np.max(np.abs(form.materialize().matrix - dense.matrix))) / dense.norm_max()
 
     x = pair_.grid.nodes
     # Gauge-normalize so the recovered f matches the ramp at the last node.
@@ -277,7 +279,7 @@ def cmd_recover(args) -> OutputRecord:
     record = OutputRecord("recover", params, ["quantity", "value"])
     record.rows = [
         ("reconstruction_residual", residual),
-        ("rank_estimate", rank_estimate(d, 1e-8)),
+        ("rank_estimate", rank_estimate(dense, 1e-8)),
         ("pairing_re", probe.pairing.real),
         ("pairing_im", probe.pairing.imag),
         ("f_shape_max_dev", f_shape_dev),
@@ -373,6 +375,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"rankone: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except MemoryError as exc:
+        print(f"rankone: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return EXIT_RESOURCE_ERROR
     emit(record, args.format, sys.stdout)
     if not record.status.get("ok", True):
         return int(record.status.get("code", EXIT_INVARIANT_FAILURE))

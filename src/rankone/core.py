@@ -1,10 +1,11 @@
 """Foundational value types and dense linear-algebra primitives.
 
 Everything is finite-dimensional and complex: vectors are coordinate
-columns, functionals are coordinate rows, operators are square dense
-matrices.  All values are immutable after construction (the wrapped
-arrays are copied and marked read-only), so every operation here is
-pure and safe to call concurrently.
+columns, functionals are coordinate rows, operators are square and known
+by their action (:class:`Operator`); :class:`DenseOperator` is the one
+that stores its matrix.  All values are immutable after construction (the
+wrapped arrays are copied and marked read-only), so every operation here
+is pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ class SingularMatrixError(ArithmeticError):
 PIVOT_RTOL = 1e-13
 
 
-def _frozen_array(values, ndim: int) -> np.ndarray:
+def _frozen_array(values, ndim: int, allow_empty: bool = False) -> np.ndarray:
     arr = np.array(values, dtype=complex, copy=True)
     if arr.ndim != ndim:
         raise ValueError(f"expected a {ndim}-d array, got shape {arr.shape}")
-    if arr.size == 0:
+    if arr.size == 0 and not allow_empty:
         raise ValueError("dimension must be >= 1")
     if not np.all(np.isfinite(arr)):
         raise ValueError("entries must be finite (no NaN/Inf)")
@@ -118,10 +119,10 @@ class Functional:
 
     __rmul__ = __mul__
 
-    def __matmul__(self, op: "DenseOperator") -> "Functional":
+    def __matmul__(self, op: "Operator") -> "Functional":
         """Composition self . op, a new row l(A .)."""
         _check_dims(self.dim, op.dim)
-        return Functional(self.weights @ op.matrix)
+        return Functional(op.apply_left(self.weights))
 
     @staticmethod
     def basis(i: int, dim: int) -> "Functional":
@@ -130,8 +131,69 @@ class Functional:
         return Functional(e)
 
 
+class Operator:
+    """Square linear operator known by its action: the contract of every operator.
+
+    An implementation gives ``dim``, the column action ``apply`` (x -> A x)
+    and the row action ``apply_left`` (w -> w^T A, no conjugation) on
+    coordinate arrays, and a ``matrix`` property holding the dense n x n
+    array of A.  Only :class:`DenseOperator` stores that array; the others
+    materialize it on demand, at O(n^2) memory or more, for oracles and
+    small sizes.  ``op @ Vector`` and ``Functional @ op`` go through the
+    actions, and ``a - b`` is the lazy :class:`OperatorDifference`.
+    """
+
+    dim: int
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def apply_left(self, w: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def norm_max(self) -> float:
+        """Largest entry modulus; materializes ``matrix`` unless overridden."""
+        return float(np.max(np.abs(self.matrix)))
+
+    def __matmul__(self, other):
+        if isinstance(other, Vector):
+            _check_dims(self.dim, other.dim)
+            return Vector(self.apply(other.entries))
+        return NotImplemented
+
+    def __sub__(self, other: "Operator") -> "Operator":
+        if not isinstance(other, Operator):
+            return NotImplemented
+        return OperatorDifference(self, other)
+
+
+@dataclass(frozen=True, eq=False)
+class OperatorDifference(Operator):
+    """a - b, applied as a x - b x; neither operand is materialized."""
+
+    a: Operator
+    b: Operator
+
+    def __post_init__(self):
+        _check_dims(self.a.dim, self.b.dim)
+
+    @property
+    def dim(self) -> int:
+        return self.a.dim
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self.a.apply(x) - self.b.apply(x)
+
+    def apply_left(self, w: np.ndarray) -> np.ndarray:
+        return self.a.apply_left(w) - self.b.apply_left(w)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.a.matrix - self.b.matrix
+
+
 @dataclass(frozen=True)
-class DenseOperator:
+class DenseOperator(Operator):
     """Square dense matrix acting on :class:`Vector`."""
 
     matrix: np.ndarray
@@ -151,8 +213,11 @@ class DenseOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def norm_max(self) -> float:
-        return float(np.max(np.abs(self.matrix)))
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self.matrix @ x
+
+    def apply_left(self, w: np.ndarray) -> np.ndarray:
+        return w @ self.matrix
 
     def __matmul__(self, other):
         if isinstance(other, Vector):
@@ -167,7 +232,7 @@ class DenseOperator:
         _check_dims(self.dim, other.dim)
         return DenseOperator(self.matrix + other.matrix)
 
-    def __sub__(self, other: "DenseOperator") -> "DenseOperator":
+    def __sub__(self, other: Operator) -> "DenseOperator":
         _check_dims(self.dim, other.dim)
         return DenseOperator(self.matrix - other.matrix)
 
@@ -230,7 +295,7 @@ def outer(f: Vector, l: Functional) -> DenseOperator:
     return DenseOperator(np.outer(f.entries, l.weights))
 
 
-def invert(a: DenseOperator) -> DenseOperator:
+def invert(a: Operator) -> DenseOperator:
     """Dense inverse via partial-pivot LU; the brute-force oracle.
 
     Raises :class:`SingularMatrixError` when the smallest pivot falls
@@ -249,7 +314,7 @@ def invert(a: DenseOperator) -> DenseOperator:
     return DenseOperator(inv)
 
 
-def rank_estimate(m: DenseOperator, tol: float) -> int:
+def rank_estimate(m: Operator, tol: float) -> int:
     """Number of singular values above tol * sigma_max; 0 for the zero matrix."""
     if tol <= 0:
         raise ValueError("tol must be positive")

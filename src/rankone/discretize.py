@@ -6,9 +6,14 @@ that keeps the matrix symmetric and makes the matrix difference
 t_dd - t_dn exactly (1/h^2) e_n e_n^T, i.e. exactly rank-one, at the
 price of O(h) boundary accuracy.  Matrix inverses approximate h times
 the continuous kernels at node pairs: T^-1[i,j] ~= h * G(x_i, x_j).
-Both matrices are tridiagonal, so every routine here costs O(n^2) or
-less: banded LU for resolvents, closed-form Dirichlet-Dirichlet
-eigenpairs, and tridiagonal bisection for the Dirichlet-Neumann spectrum.
+Both matrices are tridiagonal and are kept as their three diagonals.
+Every routine here acts in O(n) time and memory (O(n log n) for the
+sine projection of the denominator): resolvents are tridiagonal LU
+factorizations applied by solves, the inverse difference is the
+difference of two of them, the Dirichlet-Dirichlet eigenpairs are used in
+closed form and the Dirichlet-Neumann spectrum comes from tridiagonal
+bisection.  Each operator's dense ``matrix`` is materialized only when
+asked for, by solving against the identity.
 """
 
 from __future__ import annotations
@@ -19,7 +24,17 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .core import PIVOT_RTOL, DenseOperator, Functional, RankOneForm, Vector
+from .core import Functional, Operator, RankOneForm, Vector, _frozen_array
+
+
+# scipy's wrappers of the LAPACK tridiagonal routines reject fewer rows.
+_LAPACK_MIN_DIM = 3
+# Reciprocal 1-norm condition of z - T below which z counts as a spectrum
+# hit.  At exact eigenvalues of the testbed pair zgtcon gave at most 4.5 eps
+# (n = 3 to 1e5), independent of n; at z = 0 it gives ~0.5/n^2, which stays
+# above this up to n ~ 8e6.  A bound growing with n, such as n * eps, misses
+# hits at n = 3 and refuses z = 0 for t_dn from n ~ 2e5.
+RCOND_TOL = 32 * np.finfo(float).eps
 
 
 class SpectrumHitError(ArithmeticError):
@@ -45,6 +60,97 @@ class Grid:
         return np.arange(1, self.n + 1) * self.h
 
 
+@dataclass(frozen=True, eq=False)
+class Tridiagonal(Operator):
+    """Square tridiagonal operator stored as its three diagonals.
+
+    ``lower`` and ``upper`` hold the n - 1 entries below and above the
+    main diagonal ``diag``.  Both actions cost O(n).
+    """
+
+    lower: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
+
+    def __post_init__(self):
+        for name in ("lower", "diag", "upper"):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), 1, allow_empty=True))
+        n = self.diag.shape[0]
+        if n == 0 or self.lower.shape[0] != n - 1 or self.upper.shape[0] != n - 1:
+            raise ValueError(
+                f"diagonals must have lengths n-1, n, n-1 with n >= 1, got "
+                f"{self.lower.shape[0]}, {n}, {self.upper.shape[0]}"
+            )
+
+    @classmethod
+    def from_dense(cls, t: Operator) -> "Tridiagonal":
+        """The three diagonals of ``t.matrix``; ValueError if it has other entries."""
+        m = t.matrix
+        diagonals = (np.diagonal(m, -1), np.diagonal(m), np.diagonal(m, 1))
+        outside = np.count_nonzero(m) - sum(np.count_nonzero(b) for b in diagonals)
+        if outside:
+            raise ValueError(f"operator is not tridiagonal: {outside} entries off the three diagonals")
+        return cls(*diagonals)
+
+    @property
+    def dim(self) -> int:
+        return self.diag.shape[0]
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        y = self.diag * x
+        y[:-1] += self.upper * x[1:]
+        y[1:] += self.lower * x[:-1]
+        return y
+
+    def apply_left(self, w: np.ndarray) -> np.ndarray:
+        y = self.diag * w
+        y[1:] += self.upper * w[:-1]
+        y[:-1] += self.lower * w[1:]
+        return y
+
+    def norm_max(self) -> float:
+        return float(max(np.max(np.abs(b), initial=0.0) for b in (self.lower, self.diag, self.upper)))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        i = np.arange(self.dim)
+        m = np.zeros((self.dim, self.dim), dtype=complex)
+        m[i, i] = self.diag
+        m[i[:-1], i[1:]] = self.upper
+        m[i[1:], i[:-1]] = self.lower
+        return m
+
+
+@dataclass(frozen=True, eq=False)
+class TridiagonalResolvent(Operator):
+    """(z - T)^-1 of a tridiagonal T, kept as the LU factors of z - T.
+
+    ``factors`` is what LAPACK ``zgttrf`` returns, (dl, d, du, du2, ipiv),
+    for z - T padded to at least _LAPACK_MIN_DIM rows (see
+    :func:`resolvent`).  Each action is one O(n) ``zgttrs`` solve, the row
+    action a transposed one; ``matrix`` solves against the identity, O(n^2).
+    """
+
+    dim: int
+    factors: tuple
+
+    def _solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        pad = self.factors[1].shape[0] - self.dim
+        if pad:
+            b = np.concatenate((b, np.zeros((pad,) + b.shape[1:], dtype=complex)))
+        return scipy.linalg.lapack.zgttrs(*self.factors, b, trans=trans)[0][: self.dim]
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self._solve(x)
+
+    def apply_left(self, w: np.ndarray) -> np.ndarray:
+        return self._solve(w, trans="T")
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self._solve(np.eye(self.dim, dtype=complex, order="F"))
+
+
 @dataclass(frozen=True)
 class DiscretePair:
     """Discretized operator pair with the sampled rank-one factors.
@@ -55,69 +161,71 @@ class DiscretePair:
     """
 
     grid: Grid
-    t_dd: DenseOperator
-    t_dn: DenseOperator
+    t_dd: Tridiagonal
+    t_dn: Tridiagonal
     f_vec: Vector
     l_fun: Functional
 
 
 def build_pair(n: int) -> DiscretePair:
-    """Assemble both operators and the sampled factors on n interior nodes."""
+    """Assemble both operators, as three diagonals, and the sampled factors on n interior nodes."""
     grid = Grid(n)
     h = grid.h
     x = grid.nodes
-    i = np.arange(n)
-    t_dd = np.zeros((n, n), dtype=complex)
-    t_dd[i, i] = 2.0 / h**2
-    t_dd[i[:-1], i[1:]] = -1.0 / h**2
-    t_dd[i[1:], i[:-1]] = -1.0 / h**2
-    t_dn = t_dd.copy()
-    t_dn[-1, -1] = 1.0 / h**2
+    off = np.full(n - 1, -1.0 / h**2)
+    diag = np.full(n, 2.0 / h**2)
+    t_dd = Tridiagonal(off, diag, off)
+    diag[-1] = 1.0 / h**2
     return DiscretePair(
         grid=grid,
-        t_dd=DenseOperator(t_dd),
-        t_dn=DenseOperator(t_dn),
+        t_dd=t_dd,
+        t_dn=Tridiagonal(off, diag, off),
         f_vec=Vector(x),
         l_fun=Functional(h * x),
     )
 
 
-def inverse_difference(pair: DiscretePair) -> DenseOperator:
-    """t_dn^-1 - t_dd^-1 = R_dd(0) - R_dn(0); exactly rank-one by the single-entry matrix difference."""
-    diff = _tridiagonal_resolvent(pair.t_dd.matrix, 0.0)
-    diff -= _tridiagonal_resolvent(pair.t_dn.matrix, 0.0)
-    return DenseOperator(diff)
+def inverse_difference(pair: DiscretePair) -> Operator:
+    """D = t_dn^-1 - t_dd^-1 = R_dd(0) - R_dn(0), exactly rank-one by the single-entry matrix difference.
 
-
-def resolvent(t: DenseOperator, z: complex) -> DenseOperator:
-    """(z - T)^-1 of a tridiagonal T, returned dense.
-
-    One banded LU of z - T with partial pivoting (O(n)), then solves
-    against the identity (O(n^2)).  Raises :class:`SpectrumHitError`
-    under the pivot-ratio rule of :func:`core.invert`, and ValueError
-    when T has entries off its three central diagonals.
+    Returned as the difference of the two tridiagonal factorizations at
+    z = 0: applying D to a vector, from either side, is two O(n) solves,
+    and ``D.matrix`` is materialized only on demand.
     """
-    return DenseOperator(_tridiagonal_resolvent(t.matrix, complex(z)))
+    return resolvent(pair.t_dd, 0.0) - resolvent(pair.t_dn, 0.0)
 
 
-def _tridiagonal_resolvent(t: np.ndarray, z: complex) -> np.ndarray:
-    n = t.shape[0]
-    diag, upper, lower = np.diagonal(t), np.diagonal(t, 1), np.diagonal(t, -1)
-    outside = np.count_nonzero(t) - sum(np.count_nonzero(b) for b in (diag, upper, lower))
-    if outside:
-        raise ValueError(f"operator is not tridiagonal: {outside} entries off the three diagonals")
-    # LAPACK band storage for kl = ku = 1; row 0 is room for the fill-in of pivoting.
-    band = np.zeros((4, n), dtype=complex)
-    band[1, 1:] = -upper
-    band[2] = z - diag
-    band[3, :-1] = -lower
-    lu, piv, info = scipy.linalg.lapack.zgbtrf(band, 1, 1, overwrite_ab=True)
-    pivots = np.abs(lu[2])
-    if info > 0 or np.min(pivots) < PIVOT_RTOL * np.max(pivots):
-        raise SpectrumHitError(f"z={z} hits the discrete spectrum")
-    eye = np.eye(n, dtype=complex, order="F")
-    inv, _ = scipy.linalg.lapack.zgbtrs(lu, 1, 1, eye, piv, overwrite_b=True)
-    return inv
+def resolvent(t: Operator, z: complex) -> TridiagonalResolvent:
+    """(z - T)^-1 of a tridiagonal T as one O(n) LU factorization of z - T.
+
+    ``t`` is a :class:`Tridiagonal` or any operator whose matrix is
+    tridiagonal (ValueError otherwise).  The result applies (z - T)^-1 to
+    a vector by one O(n) solve, from the left by one transposed solve.
+    Raises :class:`SpectrumHitError` when z - T is singular to working
+    precision: a zero pivot, or a reciprocal condition estimate (LAPACK
+    ``zgtcon``, 1-norm, O(n)) below RCOND_TOL.
+    """
+    if not isinstance(t, Tridiagonal):
+        t = Tridiagonal.from_dense(t)
+    z = complex(z)
+    lower, diag, upper = -t.lower, z - t.diag, -t.upper
+    col_sums = np.abs(diag)
+    col_sums[1:] += np.abs(upper)
+    col_sums[:-1] += np.abs(lower)
+    anorm = float(np.max(col_sums))
+    if t.dim < _LAPACK_MIN_DIM:
+        # diag(z - T, anorm I) factors as z - T on its leading block and has
+        # the same 1-norm condition number.
+        pad = np.zeros(_LAPACK_MIN_DIM - t.dim)
+        lower, upper = np.concatenate((lower, pad)), np.concatenate((upper, pad))
+        diag = np.concatenate((diag, pad + anorm))
+    *factors, info = scipy.linalg.lapack.zgttrf(lower, diag, upper)
+    if info > 0:
+        raise SpectrumHitError(f"z={z} hits the discrete spectrum (zero pivot)")
+    rcond, _ = scipy.linalg.lapack.zgtcon(*factors, anorm)
+    if rcond < RCOND_TOL:
+        raise SpectrumHitError(f"z={z} hits the discrete spectrum (rcond {rcond:.3e})")
+    return TridiagonalResolvent(t.dim, tuple(factors))
 
 
 def discrete_new_eigenvalues(pair: DiscretePair, count: int) -> list[float]:
@@ -126,9 +234,9 @@ def discrete_new_eigenvalues(pair: DiscretePair, count: int) -> list[float]:
         raise ValueError("count must be >= 1")
     if count > pair.grid.n:
         raise ValueError("count exceeds the matrix dimension")
-    t = pair.t_dn.matrix
+    t = pair.t_dn
     eigen = scipy.linalg.eigvalsh_tridiagonal(
-        np.diagonal(t).real, np.diagonal(t, 1).real, select="i", select_range=(0, count - 1)
+        t.diag.real, t.upper.real, select="i", select_range=(0, count - 1)
     )
     return [float(v) for v in eigen]
 
@@ -142,28 +250,20 @@ def krein_denominator_function(
     given (e.g. factors recovered from the inverse difference).  The
     eigenpairs of t_dd are known in closed form: lambda_j from
     :func:`dd_eigenvalues` and the real orthonormal sine vectors
-    v_j = sqrt(2h) sin(j pi x_i).  Projecting f and l on them once
-    (O(n^2)) turns every evaluation into an O(n) sum, which keeps root
-    bracketing cheap:
+    v_j = sqrt(2h) sin(j pi x_i).  Projecting f and l on them is a
+    discrete sine transform, O(n log n), and turns every evaluation into
+    an O(n) sum, which keeps root bracketing cheap:
 
         D(z) = 1 + z(-<l|f> + z * sum_j c_j / (z - lambda_j)),
         c_j = <l|v_j><v_j|f>.
     """
     f = form.f if form is not None else pair.f_vec
     l = form.l if form is not None else pair.l_fun
-    n, h = pair.grid.n, pair.grid.h
     lam = dd_eigenvalues(pair)
-    # v_j(x_i) = sqrt(2h) sin(pi i j h) is symmetric in (i, j); reducing i*j
-    # modulo the period 2(n+1) keeps every sine argument below 2 pi.
-    j = np.arange(1, n + 1)
-    period = 2 * (n + 1)
-    phase = np.outer(j, j)
-    phase %= period
-    vecs = (np.sqrt(2.0 * h) * np.sin(np.pi * h * np.arange(period)))[phase]
+    scale = np.sqrt(2.0 * pair.grid.h)
 
     def project(w: np.ndarray) -> np.ndarray:
-        # Real products on each part; a complex w would upcast vecs to a complex copy.
-        return vecs @ w.real + 1j * (vecs @ w.imag)
+        return scale * (_sine_transform(w.real) + 1j * _sine_transform(w.imag))
 
     coeff = project(l.weights) * project(f.entries)
     lf = complex(np.dot(l.weights, f.entries))
@@ -173,6 +273,19 @@ def krein_denominator_function(
         return 1.0 + z * (-lf + z * complex(np.sum(coeff / (z - lam))))
 
     return d_fn
+
+
+def _sine_transform(w: np.ndarray) -> np.ndarray:
+    """sum_i sin(pi i j / (n+1)) w_i for j = 1..n, of a real w: a DST-I in O(n log n).
+
+    The odd extension (0, w, 0, -reversed w) of length 2(n+1) has the
+    discrete Fourier transform -2i times this sum at j = 1..n.
+    """
+    n = w.shape[0]
+    odd = np.zeros(2 * (n + 1))
+    odd[1 : n + 1] = w
+    odd[n + 2 :] = -w[::-1]
+    return -0.5 * np.fft.rfft(odd)[1 : n + 1].imag
 
 
 def dd_eigenvalues(pair: DiscretePair) -> np.ndarray:

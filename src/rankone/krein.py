@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import DenseOperator, Functional, RankOneForm, Vector, outer, pair
+from .core import DenseOperator, Functional, Operator, RankOneForm, Vector, outer, pair
 
 # Probe points per bracketing subinterval; the denominators met in
 # practice have one root per branch, so this is generous.
@@ -87,12 +87,12 @@ class EigenPair:
     residual: float
 
 
-def deflect(r1: DenseOperator, z: complex, f: Vector) -> Vector:
+def deflect(r1: Operator, z: complex, f: Vector) -> Vector:
     """Apply (-I + z R1) to f."""
     return -f + complex(z) * (r1 @ f)
 
 
-def krein_denominator(r1: DenseOperator, z: complex, p: RankOneForm) -> complex:
+def krein_denominator(r1: Operator, z: complex, p: RankOneForm) -> complex:
     """The scalar 1 + z <l|(-I + z R1) f>."""
     return 1.0 + complex(z) * pair(p.l, deflect(r1, z, p.f))
 
@@ -103,7 +103,7 @@ def default_tol(z: complex, f_norm: float, l_norm: float) -> float:
 
 
 def resolvent_difference(
-    r1: DenseOperator, z: complex, p: RankOneForm, tol: float | None = None
+    r1: Operator, z: complex, p: RankOneForm, tol: float | None = None
 ) -> ResolventDifference:
     """Rank-one factorization of (z - T2)^-1 - (z - T1)^-1.
 
@@ -130,7 +130,7 @@ def find_new_eigenvalues(
     max_count: int,
     exclusions: Sequence[float],
     eigenfunction_fn: Callable[[complex], Vector] | None = None,
-    t2: DenseOperator | None = None,
+    t2: Operator | None = None,
 ) -> list[EigenPair]:
     """Real roots of the scalar denominator on a finite interval.
 

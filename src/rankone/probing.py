@@ -18,6 +18,7 @@ import numpy as np
 from .core import (
     DenseOperator,
     Functional,
+    Operator,
     RankOneForm,
     Vector,
     _check_dims,
@@ -50,32 +51,59 @@ class Probe:
     pairing: complex
 
 
-def choose_probe(d: DenseOperator, tol: float = ADMISSIBILITY_RTOL) -> Probe:
-    """Best coordinate probe: the basis pair (e_i, e_j) maximizing |D_ji|.
+def _test_vector(dim: int) -> np.ndarray:
+    """Fixed positive vector g_k = sqrt(k + 1), k = 1..dim.
 
-    Ties break toward the smallest (j, i) in lexicographic order.  The
-    maximal entry optimizes the conditioning of the recovery quotients.
+    <l|g> != 0 for every nonzero nonnegative l, such as the testbed's
+    l = h x, and for every other l off one hyperplane.  A closed form:
+    seeding a random generator on each call would cost more than probing
+    a small dense D.
     """
-    abs_d = np.abs(d.matrix)
-    max_abs = float(abs_d.max())
+    return np.sqrt(np.arange(2.0, dim + 2.0))
+
+
+def choose_probe(d: Operator, tol: float = ADMISSIBILITY_RTOL) -> Probe:
+    """Coordinate probe (e_i, e_j) at the largest entry |D_ji|, from two actions of D.
+
+    j is the largest entry of |D g| for the fixed :func:`_test_vector` g,
+    then i the largest entry of the row e_j^T D.  For D = |f><l| these are
+    the largest |f_j| and |l_i| (provided <l|g> != 0), so the pair is the
+    largest entry of D, with ties broken toward the smallest (j, i) in
+    lexicographic order.  The maximal entry optimizes the conditioning of
+    the recovery quotients.
+    """
+    d_g = np.abs(d.apply(_test_vector(d.dim)))
+    j = int(d_g.argmax())
+    max_abs = float(d_g[j])
     if max_abs <= tol * max_abs:
         raise ZeroDifferenceError("difference operator is numerically zero")
-    j, i = np.unravel_index(int(np.argmax(abs_d)), abs_d.shape)
-    return coordinate_probe(d, int(i), int(j))
+    l0 = Functional.basis(j, d.dim)
+    row = d.apply_left(l0.weights)
+    i = int(np.abs(row).argmax())
+    return Probe(f0=Vector.basis(i, d.dim), l0=l0, pairing=complex(row[i]))
 
 
-def coordinate_probe(d: DenseOperator, i: int, j: int) -> Probe:
-    """Probe with f0 = e_i, l0 = e_j, pairing D_ji."""
-    return Probe(
-        f0=Vector.basis(i, d.dim),
-        l0=Functional.basis(j, d.dim),
-        pairing=complex(d.matrix[j, i]),
-    )
+def coordinate_probe(d: Operator, i: int, j: int) -> Probe:
+    """Probe with f0 = e_i, l0 = e_j, pairing D_ji (read from the row e_j^T D)."""
+    l0 = Functional.basis(j, d.dim)
+    return Probe(f0=Vector.basis(i, d.dim), l0=l0, pairing=complex((l0 @ d).weights[i]))
 
 
-def _require_admissible(d: DenseOperator, probe: Probe) -> float:
-    """Check the probe pairing against ||D||_max and return that norm."""
-    d_max = d.norm_max()
+def _require_admissible(
+    d: Operator, probe: Probe, d_f0: Vector, l0_d: Functional | None = None
+) -> float:
+    """Check the probe pairing against ||D||_max and return that norm.
+
+    A dense D reads ||D||_max off its entries.  For any other D it is
+    max|D f0| max|l0 D| / |<l0|D f0>| (``l0_d`` = l0 D, applied here when
+    not given), which equals ||D||_max when D has rank one.
+    """
+    if isinstance(d, DenseOperator):
+        d_max = d.norm_max()
+    else:
+        l0_d = probe.l0 @ d if l0_d is None else l0_d
+        span = float(np.max(np.abs(d_f0.entries)) * np.max(np.abs(l0_d.weights)))
+        d_max = span / abs(probe.pairing) if probe.pairing else np.inf
     if abs(probe.pairing) <= ADMISSIBILITY_RTOL * d_max:
         raise InadmissibleProbeError(
             f"probe pairing {probe.pairing:.3e} below admissibility threshold"
@@ -83,38 +111,52 @@ def _require_admissible(d: DenseOperator, probe: Probe) -> float:
     return d_max
 
 
-def recover_factors(d: DenseOperator, probe: Probe, check_rank: bool = True) -> RankOneForm:
+def recover_factors(d: Operator, probe: Probe, check_rank: bool = True) -> RankOneForm:
     """Factor D = |f1><l1| from its action on the probe pair.
 
-    Refuses when the reconstruction residual ||D - |f1><l1|||_max
-    exceeds RANK_TOL * ||D||_max: the identities require exact rank one
-    and a best rank-one fit would be silently wrong.  The residual is
-    zero exactly when D has rank one, and costs O(n^2).
+    Refuses when D is not rank one: the identities require exact rank one
+    and a best rank-one fit would be silently wrong.  On a dense D the
+    gate is the reconstruction residual, ||D - |f1><l1|||_max <=
+    RANK_TOL * ||D||_max, which is zero exactly when D has rank one and
+    costs O(n^2).  An action-only D is gated on the sketch
+    ||(D - |f1><l1|) g||_max <= RANK_TOL * ||D||_max * ||g||_1 with the
+    fixed :func:`_test_vector` g: one more action.  It accepts every D the
+    dense gate accepts; a second rank component that oscillates against g
+    must be up to ~sqrt(n) times larger than under the dense gate to be
+    refused.
     """
     _check_dims(d.dim, probe.f0.dim)
-    d_max = _require_admissible(d, probe)
-    f1 = (d @ probe.f0) * (1.0 / probe.pairing)
+    d_f0 = d @ probe.f0
     l1 = probe.l0 @ d
+    d_max = _require_admissible(d, probe, d_f0, l1)
+    f1 = d_f0 * (1.0 / probe.pairing)
     if check_rank:
-        residual = np.outer(f1.entries, l1.weights)
-        residual -= d.matrix
-        if np.max(np.abs(residual)) > RANK_TOL * d_max:
+        if isinstance(d, DenseOperator):
+            residual = np.outer(f1.entries, l1.weights)
+            residual -= d.matrix
+            bound = RANK_TOL * d_max
+        else:
+            g = _test_vector(d.dim)
+            residual = d.apply(g) - f1.entries * (l1.weights @ g)
+            bound = RANK_TOL * d_max * float(np.sum(np.abs(g)))
+        if np.max(np.abs(residual)) > bound:
             raise NotRankOneError("difference operator has rank > 1")
     return RankOneForm(f=f1, l=l1)
 
 
-def bilinear_value(d: DenseOperator, s: DenseOperator, probe: Probe) -> complex:
+def bilinear_value(d: Operator, s: Operator, probe: Probe) -> complex:
     """<l|S f> for any factorization D = |f><l|, via <l0|D S D f0>/<l0|D f0>."""
     _check_dims(d.dim, s.dim)
     _check_dims(d.dim, probe.f0.dim)
-    _require_admissible(d, probe)
-    return pair(probe.l0, d @ (s @ (d @ probe.f0))) / probe.pairing
+    d_f0 = d @ probe.f0
+    _require_admissible(d, probe, d_f0)
+    return pair(probe.l0, d @ (s @ d_f0)) / probe.pairing
 
 
 def resolvent_difference_factor_free(
-    r1: DenseOperator,
+    r1: Operator,
     z: complex,
-    d: DenseOperator,
+    d: Operator,
     probe: Probe,
     tol: float | None = None,
 ) -> ResolventDifference:
@@ -123,12 +165,13 @@ def resolvent_difference_factor_free(
     The denominator 1 + z <l|(-I + z R1) f> is evaluated through the
     probe quotient with S = -I + z R1; the returned factors span the
     same rank-one operator as the factor-based path.  S is only ever
-    applied to D f0 and l0 D, so the cost is a handful of matvecs.
+    applied to D f0 and l0 D, so the cost is a handful of actions: O(n)
+    on the tridiagonal testbed.
     """
     z = complex(z)
-    _require_admissible(d, probe)
     d_f0 = d @ probe.f0
     l0_d = probe.l0 @ d
+    _require_admissible(d, probe, d_f0, l0_d)
     s_d_f0 = z * (r1 @ d_f0) - d_f0
     den = 1.0 + z * pair(l0_d, s_d_f0) / probe.pairing
     if tol is None:

@@ -232,6 +232,19 @@ def test_output_is_byte_identical(argv):
     assert out_a == out_b
 
 
+def test_out_of_memory_exits_four_with_one_line(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 149. GiB for an array with shape (100000, 100000)")
+
+    monkeypatch.setattr(cli, "cmd_recover", exhausted)
+    code = cli.main(["recover", "--n", "100000"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_RESOURCE_ERROR == 4
+    assert captured.out == ""
+    assert captured.err.startswith("rankone: out of memory:")
+    assert captured.err.count("\n") == 1
+
+
 def test_csv_uses_seventeen_significant_digits():
     _, out = run_cli(["eigs", "--method", "analytic", "--count", "1"])
     _, rows = parse_csv(out)

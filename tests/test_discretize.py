@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rankone import laplace
+from rankone import laplace, probing
 from rankone.core import DenseOperator, Functional, RankOneForm, Vector, invert, rank_estimate
 from rankone.discretize import (
     Grid,
     SpectrumHitError,
+    Tridiagonal,
     build_pair,
     dd_eigenvalues,
     discrete_new_eigenvalues,
@@ -14,7 +17,7 @@ from rankone.discretize import (
     krein_denominator_function,
     resolvent,
 )
-from rankone.krein import SpectralPoint, krein_denominator
+from rankone.krein import SpectralPoint, find_new_eigenvalues, krein_denominator, resolvent_difference
 from rankone.perturbed_inverse import RegularInverse, perturbed_inverse
 
 
@@ -198,3 +201,104 @@ def test_static_deviation_stays_at_noise_floor():
         dev = np.max(np.abs(diff.matrix / pair.grid.h - np.outer(x, x)))
         assert dev <= 5 * pair.grid.h
         assert dev <= 1e-10
+
+
+@pytest.mark.parametrize("n", [200, 1000])
+def test_resolvent_rejects_spectrum_hit_on_fine_grids(n):
+    # The pivot ratio at z = lambda_1 is ~1e-12 here, so a pivot rule misses
+    # the hit; the condition estimate of z - T does not.
+    pair = build_pair(n)
+    with pytest.raises(SpectrumHitError):
+        resolvent(pair.t_dd, float(dd_eigenvalues(pair)[0]))
+
+
+# ------------------------------------- O(n) actions against the dense oracle
+
+
+def _complex_uniform(rng: np.random.Generator, size: int) -> np.ndarray:
+    return rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
+
+
+def _skewed_tridiagonal(n: int) -> Tridiagonal:
+    """Nonsymmetric complex tridiagonal; z - T stays diagonally dominant for |z| <= 3.6."""
+    rng = np.random.default_rng(n)
+    return Tridiagonal(
+        _complex_uniform(rng, n - 1), 8.0 + _complex_uniform(rng, n), _complex_uniform(rng, n - 1)
+    )
+
+
+def _assert_actions_match(op, oracle: np.ndarray):
+    """op @ x and w @ op against the dense oracle, within 1e-13 |oracle|_max |x|_1."""
+    rng = np.random.default_rng(oracle.shape[0])
+    x, w = (_complex_uniform(rng, oracle.shape[0]) for _ in range(2))
+    scale = 1e-13 * np.abs(oracle).max() * np.abs(x).sum()
+    assert_allclose((op @ Vector(x)).entries, oracle @ x, rtol=0, atol=scale)
+    assert_allclose((Functional(w) @ op).weights, w @ oracle, rtol=0, atol=scale)
+
+
+@pytest.mark.parametrize("n", [2, 3, 50])
+def test_tridiagonal_actions_match_dense_matrix(n):
+    pair = build_pair(n)
+    for t in (pair.t_dd, pair.t_dn, _skewed_tridiagonal(n)):
+        oracle = t.matrix
+        _assert_actions_match(t, oracle)
+        assert t.norm_max() == np.abs(oracle).max()
+        assert_allclose(Tridiagonal.from_dense(DenseOperator(oracle)).matrix, oracle)
+
+
+@pytest.mark.parametrize("n", [2, 3, 50])
+def test_resolvent_actions_match_dense_inverse(n):
+    pair = build_pair(n)
+    for t in (pair.t_dd, pair.t_dn, _skewed_tridiagonal(n)):
+        for z in (0.0, 1.5, 3.0 - 2.0j):
+            oracle = np.linalg.inv(z * np.eye(n) - t.matrix)
+            _assert_actions_match(resolvent(t, z), oracle)
+
+
+@pytest.mark.parametrize("n", [2, 3, 50])
+def test_inverse_difference_actions_match_dense_inverses(n):
+    pair = build_pair(n)
+    oracle = np.linalg.inv(pair.t_dn.matrix) - np.linalg.inv(pair.t_dd.matrix)
+    _assert_actions_match(inverse_difference(pair), oracle)
+
+
+@pytest.mark.parametrize("n", [2, 3, 50])
+def test_denominator_function_matches_resolvent_path_for_complex_factors(n):
+    # Recovered factors under a complex gauge exercise both parts of the sine transform.
+    pair = build_pair(n)
+    d = inverse_difference(pair)
+    form = probing.recover_factors(d, probing.choose_probe(d)).gauge(0.5 - 1.5j)
+    d_fn = krein_denominator_function(pair, form)
+    for z in (0.7, 1.0 + 2.0j, -3.0 - 0.5j):
+        direct = krein_denominator(resolvent(pair.t_dd, z), z, form)
+        assert d_fn(z) == pytest.approx(direct, abs=1e-12)
+
+
+def test_structured_pipeline_at_large_n_allocates_no_dense_matrix():
+    # A dense n x n complex matrix would take 160 GB here; the traced peak
+    # pins the whole pipeline to O(n) memory.
+    n, count = 100_000, 3
+    tracemalloc.start()
+    try:
+        pair = build_pair(n)
+        d = inverse_difference(pair)
+        probe = probing.choose_probe(d)
+        form = probing.recover_factors(d, probe)
+        z = 1.5 + 0.5j
+        r1 = resolvent(pair.t_dd, z)
+        factored = resolvent_difference(r1, z, form)
+        factor_free = probing.resolvent_difference_factor_free(r1, z, d, probe)
+        d_fn = krein_denominator_function(pair, form)
+        poles = dd_eigenvalues(pair)
+        found = find_new_eigenvalues(
+            d_fn, (0.05, float(poles[count - 1])), count, [float(p) for p in poles[: count - 1]]
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * n * 16
+    assert factor_free.denominator == pytest.approx(factored.denominator, abs=1e-12)
+    h = pair.grid.h
+    j = np.arange(1, count + 1)
+    closed_form = 4.0 / h**2 * np.sin((2 * j - 1) * np.pi / (2 * (2 * n + 1))) ** 2
+    assert_allclose([p.z.real for p in found], closed_form, rtol=1e-8)

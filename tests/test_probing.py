@@ -95,6 +95,28 @@ def test_recover_factors_accepts_large_testbed_difference():
     assert np.max(np.abs(form.materialize().matrix - exact)) <= 1e-10 * np.max(exact)
 
 
+@pytest.mark.parametrize("n", [2, 3, 50])
+def test_choose_probe_same_on_actions_and_dense_matrix(n):
+    d = discretize.inverse_difference(discretize.build_pair(n))
+    from_actions = choose_probe(d)
+    from_dense = choose_probe(DenseOperator(d.matrix))
+    assert np.array_equal(from_actions.f0.entries, from_dense.f0.entries)
+    assert np.array_equal(from_actions.l0.weights, from_dense.l0.weights)
+    assert from_actions.pairing == pytest.approx(from_dense.pairing, rel=1e-13)
+
+
+def test_recover_factors_refuses_rank_two_action_difference():
+    # Two tridiagonals that differ in two diagonal entries: D has rank 2.
+    t1 = discretize.build_pair(40).t_dd
+    diag = t1.diag.copy()
+    diag[[0, -1]] *= 1.5
+    t2 = discretize.Tridiagonal(t1.lower, diag, t1.upper)
+    d = discretize.resolvent(t1, 0.0) - discretize.resolvent(t2, 0.0)  # t2^-1 - t1^-1
+    for op in (d, DenseOperator(d.matrix)):
+        with pytest.raises(NotRankOneError):
+            recover_factors(op, choose_probe(op))
+
+
 def test_recover_factors_rejects_inadmissible_probe():
     d = outer(Vector([1, 0]), Functional([0, 1]))
     bad = coordinate_probe(d, 0, 0)  # D[0,0] = 0
