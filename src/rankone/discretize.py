@@ -10,10 +10,10 @@ Both matrices are tridiagonal and are kept as their three diagonals.
 Every routine here acts in O(n) time and memory (O(n log n) for the
 sine projection of the denominator): resolvents are tridiagonal LU
 factorizations applied by solves, the inverse difference is the
-difference of two of them, the Dirichlet-Dirichlet eigenpairs are used in
-closed form and the Dirichlet-Neumann spectrum comes from tridiagonal
-bisection.  Each operator's dense ``matrix`` is materialized only when
-asked for, by solving against the identity.
+difference of two of them, and the Dirichlet-Dirichlet eigenpairs and the
+Dirichlet-Neumann eigenvalues are used in closed form.  Each operator's
+dense ``matrix`` is materialized only when asked for, by solving against
+the identity.
 """
 
 from __future__ import annotations
@@ -229,16 +229,20 @@ def resolvent(t: Operator, z: complex) -> TridiagonalResolvent:
 
 
 def discrete_new_eigenvalues(pair: DiscretePair, count: int) -> list[float]:
-    """Smallest eigenvalues of t_dn (symmetric tridiagonal bisection), ascending."""
+    """Smallest ``count`` eigenvalues of t_dn, ascending.
+
+    Closed form mu_j = (4/h^2) sin^2((2j - 1) pi / (2(2n + 1))), j = 1..count,
+    of the stencil that :func:`build_pair` assembles on ``pair.grid``; the
+    eigenvectors are sin((2j - 1) pi i / (2n + 1)), i = 1..n.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if count > pair.grid.n:
+    n = pair.grid.n
+    if count > n:
         raise ValueError("count exceeds the matrix dimension")
-    t = pair.t_dn
-    eigen = scipy.linalg.eigvalsh_tridiagonal(
-        t.diag.real, t.upper.real, select="i", select_range=(0, count - 1)
-    )
-    return [float(v) for v in eigen]
+    j = np.arange(1, count + 1)
+    mu = 4.0 / pair.grid.h**2 * np.sin((2 * j - 1) * np.pi / (2 * (2 * n + 1))) ** 2
+    return [float(v) for v in mu]
 
 
 def krein_denominator_function(

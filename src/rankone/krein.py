@@ -7,8 +7,13 @@ resolvents is again rank-one:
         = - (-I + z R1)|f><l|(-I + z R1) / (1 + z <l|(-I + z R1) f>).
 
 Zeros of the scalar denominator are the eigenvalues introduced by the
-perturbation; they are located on the real axis by sign-change
-bracketing between the poles of R1 followed by bisection.
+perturbation.  They are located on the real axis with one bracket per
+interval between consecutive poles of R1, narrowed by Illinois regula
+falsi.  That finds every root not within NUDGE_RTOL * |z| of a pole when
+each such interval holds at most one, which the interlacing theorem for
+rank-one modifications guarantees when the denominator is
+c + sum_j w_j / (z - lambda_j) with every w_j >= 0 (self-adjoint T1, l
+proportional to the conjugate of f).
 """
 
 from __future__ import annotations
@@ -22,9 +27,11 @@ import numpy as np
 
 from .core import DenseOperator, Functional, Operator, RankOneForm, Vector, outer, pair
 
-# Probe points per bracketing subinterval; the denominators met in
-# practice have one root per branch, so this is generous.
-PROBES_PER_INTERVAL = 64
+# Each pole interval (a, b) is read at its ends moved inward by
+# NUDGE_RTOL * max(|a|, |b|); a root closer to a pole is not seen.  Relative
+# to |z|, not to b - a: the closed form k cot k refuses z within 2e-12 |z| of
+# its poles (laplace.POLE_RTOL), and below its j-th pole b - a is ~2|z|/j.
+NUDGE_RTOL = 1e-11
 BISECTION_RTOL = 1e-12
 
 
@@ -135,13 +142,22 @@ def find_new_eigenvalues(
     """Real roots of the scalar denominator on a finite interval.
 
     ``exclusions`` are the poles of R1 (eigenvalues of T1) inside the
-    interval; each open subinterval between consecutive exclusions is
-    probed for sign changes of the real part, and every bracket is
-    bisected to relative tolerance BISECTION_RTOL.  Roots are paired
-    with ``eigenfunction_fn(z_n)`` when that callback is given, and
-    with the eigen-residual against ``t2`` when that operator is given.
-    Emits a RuntimeWarning and truncates when more than ``max_count``
-    roots are found.
+    interval.  The search assumes that the real part of the denominator
+    has at most one root between consecutive cuts (``lo``, the
+    exclusions, ``hi``).  That is guaranteed when it is
+    c + sum_j w_j / (z - lambda_j) with every w_j >= 0, which decreases
+    strictly between poles; both testbeds are of this form.  A second
+    root in one interval, or a root within NUDGE_RTOL * |z| of a cut, is
+    not seen.  Each interval (a, b) is read through
+    h(x) = Re D(x) (x - a)(b - x), which has the signs and roots of Re D
+    but not its poles at a and b, at both ends moved inward by the nudge.
+    Equal signs there mean no root; opposite signs bracket the one root,
+    which Illinois regula falsi narrows to a width of
+    BISECTION_RTOL * max(1, |midpoint|).  Roots are paired with
+    ``eigenfunction_fn(z_n)`` when that callback is given, and with the
+    eigen-residual against ``t2`` when that operator is given.  Emits a
+    RuntimeWarning and truncates when more than ``max_count`` roots are
+    found.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
@@ -150,33 +166,18 @@ def find_new_eigenvalues(
         raise ValueError("max_count must be >= 1")
 
     cuts = [lo] + sorted(x for x in exclusions if lo < x < hi) + [hi]
-
-    def d_real(x: float) -> float:
-        return complex(denominator_fn(x)).real
-
     roots: list[float] = []
-    truncated = False
     for a, b in zip(cuts[:-1], cuts[1:]):
-        if truncated:
+        root = _interval_root(denominator_fn, a, b)
+        if root is None:
+            continue
+        if len(roots) == max_count:
+            warnings.warn(
+                f"more than max_count={max_count} denominator roots on {interval}; result truncated",
+                RuntimeWarning,
+            )
             break
-        xs = a + (b - a) * np.arange(1, PROBES_PER_INTERVAL + 1) / (PROBES_PER_INTERVAL + 1.0)
-        vals = [d_real(x) for x in xs]
-        for i in range(len(xs) - 1):
-            if vals[i] == 0.0:
-                candidate = float(xs[i])
-            elif vals[i] * vals[i + 1] < 0.0:
-                candidate = _bisect(d_real, float(xs[i]), float(xs[i + 1]), vals[i])
-            else:
-                continue
-            if len(roots) == max_count:
-                truncated = True
-                break
-            roots.append(candidate)
-    if truncated:
-        warnings.warn(
-            f"more than max_count={max_count} denominator roots on {interval}; result truncated",
-            RuntimeWarning,
-        )
+        roots.append(root)
 
     pairs = []
     for z_n in roots:
@@ -190,14 +191,32 @@ def find_new_eigenvalues(
     return pairs
 
 
-def _bisect(fn: Callable[[float], float], a: float, b: float, fa: float) -> float:
-    while (b - a) > BISECTION_RTOL * max(1.0, abs(a + b) / 2.0):
-        mid = 0.5 * (a + b)
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if fa * fm < 0.0:
-            b = mid
+def _interval_root(denominator_fn: Callable[[complex], complex], a: float, b: float) -> float | None:
+    """The root of Re D between the cuts a < b, or None when h has one sign at the nudged ends."""
+
+    def h(x: float) -> float:
+        return complex(denominator_fn(x)).real * (x - a) * (b - x)
+
+    nudge = NUDGE_RTOL * max(abs(a), abs(b))
+    x0, x1 = a + nudge, b - nudge
+    if not x0 < x1:
+        return None
+    h0, h1 = h(x0), h(x1)
+    if not (h0 < 0.0 < h1 or h1 < 0.0 < h0):
+        return None
+    # Illinois: halve the weight of an end that survives two steps in a row.
+    kept = None
+    while x1 - x0 > BISECTION_RTOL * max(1.0, abs(x0 + x1) / 2.0):
+        x = x1 - h1 * (x1 - x0) / (h1 - h0)
+        if not x0 < x < x1:
+            x = 0.5 * (x0 + x1)
+        hx = h(x)
+        if hx == 0.0:
+            return x
+        if (hx > 0.0) == (h1 > 0.0):
+            x1, h1, h0 = x, hx, h0 * (0.5 if kept == 0 else 1.0)
+            kept = 0
         else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
+            x0, h0, h1 = x, hx, h1 * (0.5 if kept == 1 else 1.0)
+            kept = 1
+    return 0.5 * (x0 + x1)

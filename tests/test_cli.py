@@ -2,10 +2,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import rankone
 from rankone import cli
 
 
@@ -250,3 +255,13 @@ def test_csv_uses_seventeen_significant_digits():
     _, rows = parse_csv(out)
     # full float64 round-trip: reading the text back reproduces the value
     assert float(rows[0][1]) == (math.pi / 2) ** 2
+
+
+def test_import_leaves_heavy_scipy_modules_unloaded():
+    # Each of these costs a large share of start-up; none is needed to import the CLI.
+    heavy = ("scipy.optimize", "scipy.integrate", "scipy.fft")
+    src = str(Path(rankone.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = f"import sys, rankone.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -150,6 +151,25 @@ def test_discrete_new_eigenvalues_sorted_and_positive():
     values = discrete_new_eigenvalues(pair, 10)
     assert values == sorted(values)
     assert all(v > 0 for v in values)
+
+
+@pytest.mark.parametrize("n", [3, 50, 1000, 100_000])
+def test_discrete_new_eigenvalues_match_mpmath(n):
+    # Oracle: an mpmath eigensolve of the assembled t_dn where that is
+    # affordable, the closed form at 40 digits beyond.
+    pair = build_pair(n)
+    count = min(n, 5)
+    if n <= 50:
+        with mpmath.workdps(30):
+            exact = sorted(mpmath.eigsy(mpmath.matrix(pair.t_dn.matrix.real.tolist()), eigvals_only=True))
+    else:
+        with mpmath.workdps(40):
+            exact = [
+                4 * (n + 1) ** 2 * mpmath.sin((2 * j - 1) * mpmath.pi / (2 * (2 * n + 1))) ** 2
+                for j in range(1, count + 1)
+            ]
+    expected = [float(v) for v in exact[:count]]
+    assert discrete_new_eigenvalues(pair, count) == pytest.approx(expected, rel=1e-13)
 
 
 def test_discrete_new_eigenvalues_count_validation():

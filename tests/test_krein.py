@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import seeded_functional, seeded_vector
@@ -202,6 +204,61 @@ def test_truncation_warns():
 def test_find_rejects_bad_interval():
     with pytest.raises(ValueError):
         find_new_eigenvalues(_analytic_denominator, (2.0, 1.0), 1, [])
+
+
+def _secular(alpha: float, poles, weights):
+    """D(z) = alpha + sum_j w_j / (z - lambda_j) and its roots, the eigenvalues of diag(lambda) - u u^T / alpha."""
+    poles, weights = np.asarray(poles, float), np.asarray(weights, float)
+
+    def d_fn(z: complex) -> complex:
+        return alpha + complex(np.sum(weights / (z - poles)))
+
+    u = np.sqrt(weights)
+    return d_fn, np.linalg.eigvalsh(np.diag(poles) - np.outer(u, u) / alpha)
+
+
+def test_finds_root_closer_to_pole_than_a_probe_step():
+    # The root at 1.9999967 sits 3.3e-6 below the pole at 2, closer than a
+    # scan of (1, 2) with any practical number of equal probe steps looks.
+    d_fn, eigs = _secular(0.3, [1.0, 2.0, 3.0], [1.0, 1e-6, 1.0])
+    expected = [e for e in eigs if 0.5 < e < 3.5]
+    assert len(expected) == 2 and 2.0 - expected[0] < 1e-5
+    found = find_new_eigenvalues(d_fn, (0.5, 3.5), 4, [1.0, 2.0, 3.0])
+    assert [p.z.real for p in found] == pytest.approx(expected, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    first=st.floats(-5.0, 5.0),
+    gaps=st.lists(st.floats(0.5, 2.0), min_size=1, max_size=7),
+    log_weights=st.lists(st.floats(-8.0, 0.0), min_size=8, max_size=8),
+    log_alpha=st.floats(-1.0, 1.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_secular_roots_match_eigvalsh(first, gaps, log_weights, log_alpha, sign):
+    poles = np.cumsum([first, *gaps])
+    weights = 10.0 ** np.array(log_weights[: len(poles)])
+    d_fn, eigs = _secular(sign * 10.0**log_alpha, poles, weights)
+    lo, hi = poles[0] - 1.0, poles[-1] + 1.0
+    expected = [e for e in eigs if lo < e < hi]
+    found = find_new_eigenvalues(d_fn, (lo, hi), len(poles) + 1, list(poles))
+    assert [p.z.real for p in found] == pytest.approx(expected, rel=1e-10, abs=1e-11)
+
+
+def test_discrete_root_search_evaluation_budget():
+    # The benchmark's call: five roots below the fifth pole at n = 1000.
+    pair, form = _recovered(1000)
+    d_fn = discretize.krein_denominator_function(pair, form)
+    calls = []
+
+    def counted(z: complex) -> complex:
+        calls.append(z)
+        return d_fn(z)
+
+    poles = [float(p) for p in discretize.dd_eigenvalues(pair)[:5]]
+    found = find_new_eigenvalues(counted, (0.05, poles[4]), 5, poles[:4])
+    assert [p.z.real for p in found] == pytest.approx(discretize.discrete_new_eigenvalues(pair, 5), rel=1e-11)
+    assert len(calls) <= 100
 
 
 def test_discrete_denominator_root_matches_analytic():
