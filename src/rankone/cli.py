@@ -356,10 +356,24 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _join_z_values(argv: list[str]) -> list[str]:
+    """Rewrite `--z VALUE` as `--z=VALUE`.
+
+    argparse reads a separate value such as -30,2 or -1e-3 as an option
+    and rejects it; the joined form takes any value.
+    """
+    joined = []
+    tokens = iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token == "--z" else None
+        joined.append(token if value is None else f"--z={value}")
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_z_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -11,11 +11,23 @@ Small |k| evaluates Taylor expansions of the closed forms: the direct
 expressions subtract terms of order 1/k^2 and would lose most digits
 there.  z = 0 returns the exact continuity limits (the resolvent at
 zero is the negated inverse).
+
+The spectral kernels share a z-only denominator, k sin k for dd and
+k sin k cos k for the difference, with its pole checks.  Each is kept
+in a one-entry memo keyed by the identity of the SpectralPoint, so a
+grid of kernel values at one point pays for sin k and cos k once.  The
+key is the object, not its value: points that compare equal can differ
+in the sign of a zero part (z = 4+0j and z = complex(4, -0.0) give
+k = 2+0j and k = 2-0j), and that sign reaches the result.  The memo
+holds a reference to its point, so the identity cannot be reused by
+another object while it is stored.  A pole raises and stores nothing,
+so it raises again on every call.
 """
 
 from __future__ import annotations
 
 import cmath
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,16 +37,6 @@ from .krein import SpectralPoint
 SMALL_K = 1e-4
 # Relative guard band around the trigonometric zeros.
 POLE_RTOL = 1e-12
-
-KERNEL_KINDS = (
-    "dd-static",
-    "dn-static",
-    "diff-static",
-    "dd-spectral",
-    "dn-spectral",
-    "diff-spectral",
-)
-
 
 class PoleError(ArithmeticError):
     """z sits on a spectral pole of the requested kernel."""
@@ -48,26 +50,61 @@ class NeumannPoleError(PoleError):
     """cos(k) vanishes: z is an eigenvalue of the Dirichlet-Neumann operator."""
 
 
-@dataclass(frozen=True)
-class KernelPoint:
+class KernelPoint(namedtuple("KernelPoint", "x xi")):
     """Argument pair (x, xi) of a kernel on the unit square."""
 
-    x: float
-    xi: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0.0 <= self.x <= 1.0 and 0.0 <= self.xi <= 1.0):
-            raise ValueError(f"kernel coordinates must lie in [0,1], got {(self.x, self.xi)}")
+    def __new__(cls, x: float, xi: float):
+        if not (0.0 <= x <= 1.0 and 0.0 <= xi <= 1.0):
+            raise ValueError(f"kernel coordinates must lie in [0,1], got {(x, xi)}")
+        return tuple.__new__(cls, (x, xi))
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make (and _replace, which calls it) skips __new__.
+        return cls(*iterable)
 
 
-def _check_dd_pole(k: complex):
-    if abs(cmath.sin(k)) < POLE_RTOL * max(1.0, abs(k)):
+def _check_dd_pole(k: complex) -> complex:
+    """sin(k); raises DirichletPoleError where it vanishes."""
+    sin_k = cmath.sin(k)
+    if abs(sin_k) < POLE_RTOL * max(1.0, abs(k)):
         raise DirichletPoleError(f"sin(k) vanishes at k={k}")
+    return sin_k
 
 
-def _check_dn_pole(k: complex):
-    if abs(cmath.cos(k)) < POLE_RTOL * max(1.0, abs(k)):
+# One-entry memos (point, value), matched by identity: see the module docstring.
+_k_sin_k_memo: tuple = (None, None)
+_k_sin_k_cos_k_memo: tuple = (None, None)
+
+
+def _k_sin_k(s: SpectralPoint) -> complex:
+    """k sin(k) at s, pole-checked; the dd kernel's denominator."""
+    global _k_sin_k_memo
+    memo = _k_sin_k_memo
+    if memo[0] is s:
+        return memo[1]
+    k = s.k
+    value = k * _check_dd_pole(k)
+    _k_sin_k_memo = (s, value)
+    return value
+
+
+def _k_sin_k_cos_k(s: SpectralPoint) -> complex:
+    """k sin(k) cos(k) at s, pole-checked; the difference kernel's denominator."""
+    global _k_sin_k_cos_k_memo
+    memo = _k_sin_k_cos_k_memo
+    if memo[0] is s:
+        return memo[1]
+    k = s.k
+    k_sin_k = _k_sin_k(s)
+    cos_k = cmath.cos(k)
+    if abs(cos_k) < POLE_RTOL * max(1.0, abs(k)):
         raise NeumannPoleError(f"cos(k) vanishes at k={k}")
+    value = k_sin_k * cos_k
+    _k_sin_k_cos_k_memo = (s, value)
+    return value
 
 
 def green_dd_static(pt: KernelPoint) -> float:
@@ -89,15 +126,15 @@ def static_difference(pt: KernelPoint) -> float:
 
 def green_dd_spectral(pt: KernelPoint, s: SpectralPoint) -> complex:
     """Kernel of (z - T_dd)^-1: -sin(k a) sin(k b) / (k sin k), a=min, b=1-max."""
-    a = min(pt.x, pt.xi)
-    b = 1.0 - max(pt.x, pt.xi)
+    x, xi = pt
+    a, b = (x, 1.0 - xi) if x <= xi else (xi, 1.0 - x)
     if s.z == 0:
         return complex(-green_dd_static(pt))
     k = s.k
     if abs(k) < SMALL_K:
         return -a * b * (1.0 + s.z * (1.0 - a * a - b * b) / 6.0)
-    _check_dd_pole(k)
-    return -cmath.sin(k * a) * cmath.sin(k * b) / (k * cmath.sin(k))
+    denominator = _k_sin_k(s)
+    return -cmath.sin(k * a) * cmath.sin(k * b) / denominator
 
 
 def ramp_response(x: float, s: SpectralPoint) -> complex:
@@ -110,8 +147,8 @@ def ramp_response(x: float, s: SpectralPoint) -> complex:
     k, z = s.k, s.z
     if abs(k) < SMALL_K:
         return -x * z * ((1.0 - x * x) / 6.0 + z * (7.0 / 360.0 - x * x / 36.0 + x**4 / 120.0))
-    _check_dd_pole(k)
-    return x - cmath.sin(k * x) / cmath.sin(k)
+    sin_k = _check_dd_pole(k)
+    return x - cmath.sin(k * x) / sin_k
 
 
 def deflected_ramp(x: float, s: SpectralPoint) -> complex:
@@ -121,8 +158,8 @@ def deflected_ramp(x: float, s: SpectralPoint) -> complex:
     k, z = s.k, s.z
     if abs(k) < SMALL_K:
         return -x * (1.0 + z * (1.0 - x * x) / 6.0 + z * z * (7.0 / 360.0 - x * x / 36.0 + x**4 / 120.0))
-    _check_dd_pole(k)
-    return -cmath.sin(k * x) / cmath.sin(k)
+    sin_k = _check_dd_pole(k)
+    return -cmath.sin(k * x) / sin_k
 
 
 def scalar_pairing(s: SpectralPoint) -> complex:
@@ -137,8 +174,8 @@ def scalar_pairing(s: SpectralPoint) -> complex:
     k, z = s.k, s.z
     if abs(k) < SMALL_K:
         return -1.0 / 3.0 - z / 45.0 - 2.0 * z * z / 945.0 - z**3 / 4725.0
-    _check_dd_pole(k)
-    return cmath.cos(k) / (k * cmath.sin(k)) - 1.0 / (k * k)
+    sin_k = _check_dd_pole(k)
+    return cmath.cos(k) / (k * sin_k) - 1.0 / (k * k)
 
 
 def krein_denominator(s: SpectralPoint) -> complex:
@@ -148,8 +185,8 @@ def krein_denominator(s: SpectralPoint) -> complex:
     k, z = s.k, s.z
     if abs(k) < SMALL_K:
         return 1.0 - z / 3.0 - z * z / 45.0 - 2.0 * z**3 / 945.0 - z**4 / 4725.0
-    _check_dd_pole(k)
-    return k * cmath.cos(k) / cmath.sin(k)
+    sin_k = _check_dd_pole(k)
+    return k * cmath.cos(k) / sin_k
 
 
 def spectral_difference(pt: KernelPoint, s: SpectralPoint) -> complex:
@@ -157,17 +194,33 @@ def spectral_difference(pt: KernelPoint, s: SpectralPoint) -> complex:
     if s.z == 0:
         return complex(-static_difference(pt))
     k, z = s.k, s.z
-    x, xi = pt.x, pt.xi
+    x, xi = pt
     if abs(k) < SMALL_K:
         return -x * xi * (1.0 + z * (4.0 - x * x - xi * xi) / 6.0)
-    _check_dd_pole(k)
-    _check_dn_pole(k)
-    return -cmath.sin(k * x) * cmath.sin(k * xi) / (k * cmath.sin(k) * cmath.cos(k))
+    denominator = _k_sin_k_cos_k(s)
+    return -cmath.sin(k * x) * cmath.sin(k * xi) / denominator
 
 
 def green_dn_spectral(pt: KernelPoint, s: SpectralPoint) -> complex:
-    """Kernel of (z - T_dn)^-1, defined as the dd kernel plus the difference."""
-    return green_dd_spectral(pt, s) + spectral_difference(pt, s)
+    """Kernel of (z - T_dn)^-1, defined as the dd kernel plus the difference.
+
+    Both terms are the expressions of green_dd_spectral and
+    spectral_difference, evaluated inline and summed in that order.
+    """
+    if s.z == 0:
+        return complex(-green_dd_static(pt)) + complex(-static_difference(pt))
+    k, z = s.k, s.z
+    x, xi = pt
+    a, b = (x, 1.0 - xi) if x <= xi else (xi, 1.0 - x)
+    if abs(k) < SMALL_K:
+        dd = -a * b * (1.0 + z * (1.0 - a * a - b * b) / 6.0)
+        diff = -x * xi * (1.0 + z * (4.0 - x * x - xi * xi) / 6.0)
+        return dd + diff
+    dd_denominator = _k_sin_k(s)
+    dd = -cmath.sin(k * a) * cmath.sin(k * b) / dd_denominator
+    diff_denominator = _k_sin_k_cos_k(s)
+    diff = -cmath.sin(k * x) * cmath.sin(k * xi) / diff_denominator
+    return dd + diff
 
 
 def dn_eigenvalues(count: int) -> list[SpectralPoint]:
@@ -175,6 +228,17 @@ def dn_eigenvalues(count: int) -> list[SpectralPoint]:
     if count < 1:
         raise ValueError("count must be >= 1")
     return [SpectralPoint.from_k((n + 0.5) * cmath.pi) for n in range(count)]
+
+
+_KERNELS: dict[str, Callable[[KernelPoint, SpectralPoint | None], complex]] = {
+    "dd-static": lambda pt, s=None: complex(green_dd_static(pt)),
+    "dn-static": lambda pt, s=None: complex(green_dn_static(pt)),
+    "diff-static": lambda pt, s=None: complex(static_difference(pt)),
+    "dd-spectral": green_dd_spectral,
+    "dn-spectral": green_dn_spectral,
+    "diff-spectral": spectral_difference,
+}
+KERNEL_KINDS = tuple(_KERNELS)
 
 
 @dataclass(frozen=True)
@@ -185,29 +249,13 @@ class AnalyticKernel:
     evaluator: Callable[[KernelPoint, SpectralPoint | None], complex]
 
     def __call__(self, pt: KernelPoint, s: SpectralPoint | None = None) -> complex:
+        if s is None and self.kind.endswith("-spectral"):
+            raise ValueError(f"kernel kind {self.kind!r} needs a spectral point")
         return self.evaluator(pt, s)
 
 
 def analytic_kernel(kind: str) -> AnalyticKernel:
     """Kernel factory for the six supported kinds (see KERNEL_KINDS)."""
-    if kind not in KERNEL_KINDS:
+    if kind not in _KERNELS:
         raise ValueError(f"unknown kernel kind {kind!r}; expected one of {KERNEL_KINDS}")
-
-    def evaluator(pt: KernelPoint, s: SpectralPoint | None = None) -> complex:
-        if kind.endswith("-static"):
-            base = {
-                "dd-static": green_dd_static,
-                "dn-static": green_dn_static,
-                "diff-static": static_difference,
-            }[kind]
-            return complex(base(pt))
-        if s is None:
-            raise ValueError(f"kernel kind {kind!r} needs a spectral point")
-        spectral = {
-            "dd-spectral": green_dd_spectral,
-            "dn-spectral": green_dn_spectral,
-            "diff-spectral": spectral_difference,
-        }[kind]
-        return spectral(pt, s)
-
-    return AnalyticKernel(kind=kind, evaluator=evaluator)
+    return AnalyticKernel(kind=kind, evaluator=_KERNELS[kind])

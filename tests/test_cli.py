@@ -54,6 +54,22 @@ def test_greens_pole_exits_two():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["greens", "--which", "dn", "--grid-m", "3"],
+        ["greens", "--which", "diff", "--grid-m", "3"],
+        ["resolvent-diff", "--source", "analytic", "--grid-m", "3"],
+    ],
+)
+@pytest.mark.parametrize("z", ["-30,2", "-1e-3"])
+def test_negative_z_as_separate_token(command, z):
+    code_sep, out_sep = run_cli([*command, "--z", z])
+    code_eq, out_eq = run_cli([*command, f"--z={z}"])
+    assert code_sep == code_eq == 0
+    assert out_sep == out_eq
+
+
 def test_greens_json_mirrors_csv_rows():
     code_c, out_c = run_cli(["greens", "--which", "dn", "--grid-m", "4"])
     code_j, out_j = run_cli(["greens", "--which", "dn", "--grid-m", "4", "--format", "json"])

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import mpmath as mp
@@ -8,6 +9,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankone import laplace
 from rankone.krein import SpectralPoint
 from rankone.laplace import (
     KERNEL_KINDS,
@@ -15,6 +17,7 @@ from rankone.laplace import (
     DirichletPoleError,
     KernelPoint,
     NeumannPoleError,
+    PoleError,
     analytic_kernel,
     deflected_ramp,
     dn_eigenvalues,
@@ -71,10 +74,25 @@ def test_static_kernels_symmetric(x, xi):
 
 
 def test_kernel_point_validates_range():
-    with pytest.raises(ValueError):
-        KernelPoint(-0.1, 0.5)
-    with pytest.raises(ValueError):
-        KernelPoint(0.5, 1.2)
+    good = KernelPoint(0.5, 0.5)
+    for x, xi in ((-0.1, 0.5), (0.5, 1.2), (math.nan, 0.5), (0.5, math.nan)):
+        with pytest.raises(ValueError):
+            KernelPoint(x, xi)
+        with pytest.raises(ValueError):
+            KernelPoint(x=x, xi=xi)
+        with pytest.raises(ValueError):
+            KernelPoint._make((x, xi))
+        with pytest.raises(ValueError):
+            good._replace(x=x, xi=xi)
+
+
+def test_kernel_point_is_immutable():
+    pt = KernelPoint(0.25, 0.75)
+    assert (pt.x, pt.xi) == (0.25, 0.75)
+    assert pt._replace(xi=1.0) == KernelPoint(0.25, 1.0)
+    for field in ("x", "xi"):
+        with pytest.raises(AttributeError):
+            setattr(pt, field, 0.5)
 
 
 # ------------------------------------------------------------- spectral kernel
@@ -255,6 +273,174 @@ def test_spectral_difference_poles_distinguished():
         spectral_difference(KernelPoint(0.5, 0.5), s_from(math.pi**2))
     with pytest.raises(NeumannPoleError):
         spectral_difference(KernelPoint(0.5, 0.5), s_from((math.pi / 2) ** 2))
+
+
+# ------------------------------------------- memoized denominators: bit identity
+#
+# Reference formulas: the spectral kernels as written before their z-only
+# denominators were memoized, each recomputing sin k, cos k and the pole
+# checks per call.  The memoized kernels must reproduce them bit for bit.
+
+
+def _oracle_check_dd_pole(k):
+    if abs(cmath.sin(k)) < laplace.POLE_RTOL * max(1.0, abs(k)):
+        raise DirichletPoleError(f"sin(k) vanishes at k={k}")
+
+
+def _oracle_check_dn_pole(k):
+    if abs(cmath.cos(k)) < laplace.POLE_RTOL * max(1.0, abs(k)):
+        raise NeumannPoleError(f"cos(k) vanishes at k={k}")
+
+
+def _oracle_dd_static(pt):
+    if pt.x <= pt.xi:
+        return -pt.x * (pt.xi - 1.0)
+    return -(pt.x - 1.0) * pt.xi
+
+
+def _oracle_dd(pt, s):
+    a = min(pt.x, pt.xi)
+    b = 1.0 - max(pt.x, pt.xi)
+    if s.z == 0:
+        return complex(-_oracle_dd_static(pt))
+    k = s.k
+    if abs(k) < laplace.SMALL_K:
+        return -a * b * (1.0 + s.z * (1.0 - a * a - b * b) / 6.0)
+    _oracle_check_dd_pole(k)
+    return -cmath.sin(k * a) * cmath.sin(k * b) / (k * cmath.sin(k))
+
+
+def _oracle_diff(pt, s):
+    if s.z == 0:
+        return complex(-(pt.x * pt.xi))
+    k, z = s.k, s.z
+    x, xi = pt.x, pt.xi
+    if abs(k) < laplace.SMALL_K:
+        return -x * xi * (1.0 + z * (4.0 - x * x - xi * xi) / 6.0)
+    _oracle_check_dd_pole(k)
+    _oracle_check_dn_pole(k)
+    return -cmath.sin(k * x) * cmath.sin(k * xi) / (k * cmath.sin(k) * cmath.cos(k))
+
+
+def _oracle_dn(pt, s):
+    return _oracle_dd(pt, s) + _oracle_diff(pt, s)
+
+
+MEMOIZED_KERNELS = (
+    (green_dd_spectral, _oracle_dd),
+    (green_dn_spectral, _oracle_dn),
+    (spectral_difference, _oracle_diff),
+)
+
+
+def _outcome(fn, pt, s):
+    try:
+        return repr(fn(pt, s))
+    except PoleError as exc:
+        return type(exc)
+
+
+def _real_z(n, u):  # strictly between the poles of sin k and cos k
+    k = (n + u) * math.pi / 2.0
+    return complex(k * k)
+
+
+# The four z kinds of the analytic-spectral benchmark workload, then
+# optionally a signed-zero imaginary part.
+_workload_z = st.one_of(
+    st.builds(_real_z, st.integers(1, 39), st.floats(0.1, 0.9)),
+    st.builds(complex, st.floats(-50.0, 300.0), st.floats(0.5, 50.0) | st.floats(-50.0, -0.5)),
+    st.builds(complex, st.floats(-400.0, -0.01)),
+    st.builds(cmath.rect, st.floats(1e-12, 1e-8), st.floats(0.0, 2.0 * math.pi)),
+    st.sampled_from([0j, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)]),
+)
+_spectral_points = st.one_of(
+    st.builds(
+        lambda z, imag: SpectralPoint.from_z(z if imag is None else complex(z.real, imag)),
+        _workload_z,
+        st.sampled_from([None, 0.0, -0.0]),
+    ),
+    # exact poles of sin k (j pi) and cos k ((j - 1/2) pi)
+    st.builds(
+        lambda j, half, by_k: (
+            SpectralPoint.from_k((j - half) * math.pi) if by_k
+            else SpectralPoint.from_z(((j - half) * math.pi) ** 2)
+        ),
+        st.integers(1, 40),
+        st.sampled_from([0.0, 0.5]),
+        st.booleans(),
+    ),
+)
+_coordinate = unit | st.just(-0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_spectral_points, min_size=1, max_size=3),
+    st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=4),
+)
+def test_memoized_kernels_bit_identical_to_reference(points, coordinates):
+    for point in points:
+        # Next to each point its conjugate, which for real z compares equal
+        # to it and differs only in the sign of the zero imaginary part.
+        twin = SpectralPoint.from_z(point.z.conjugate())
+        for s, (x, xi) in itertools.product((point, twin, point), coordinates):
+            pt = KernelPoint(x, xi)
+            for kernel, oracle in MEMOIZED_KERNELS:
+                assert _outcome(kernel, pt, s) == _outcome(oracle, pt, s)
+
+
+def test_memo_tells_apart_points_equal_up_to_zero_sign():
+    pt = KernelPoint(0.3, 0.6)
+    plus, minus = SpectralPoint.from_z(4 + 0j), SpectralPoint.from_z(complex(4.0, -0.0))
+    assert plus.k == minus.k
+    for s in (plus, minus, plus):
+        for kernel, oracle in MEMOIZED_KERNELS:
+            assert repr(kernel(pt, s)) == repr(oracle(pt, s))
+
+
+class _CountingCmath:
+    """cmath stand-in counting sin and cos calls at the argument object k."""
+
+    def __init__(self, k):
+        self.k = k
+        self.sin_k = self.cos_k = 0
+
+    def __getattr__(self, name):
+        return getattr(cmath, name)
+
+    def sin(self, v):
+        self.sin_k += v is self.k
+        return cmath.sin(v)
+
+    def cos(self, v):
+        self.cos_k += v is self.k
+        return cmath.cos(v)
+
+
+def test_z_only_denominator_computed_once_per_point(monkeypatch):
+    grid = [float(v) for v in np.linspace(0.0, 1.0, 20)]
+    for kernel, _ in MEMOIZED_KERNELS:
+        s = s_from(7.3 + 2.1j)
+        counting = _CountingCmath(s.k)
+        monkeypatch.setattr(laplace, "cmath", counting)
+        for x in grid:
+            for xi in grid:
+                kernel(KernelPoint(x, xi), s)
+        assert counting.sin_k <= 1 and counting.cos_k <= 1, kernel.__name__
+
+
+def test_pole_raises_on_every_call():
+    pt = KernelPoint(0.3, 0.6)
+    dd_pole, dn_pole = s_from(math.pi**2), s_from((math.pi / 2) ** 2)
+    for _ in range(3):
+        for kernel in (green_dd_spectral, green_dn_spectral, spectral_difference):
+            with pytest.raises(DirichletPoleError):
+                kernel(pt, dd_pole)
+        green_dd_spectral(pt, dn_pole)
+        for kernel in (green_dn_spectral, spectral_difference):
+            with pytest.raises(NeumannPoleError):
+                kernel(pt, dn_pole)
 
 
 # --------------------------------------------------------------------- dn kernel
