@@ -3,14 +3,20 @@
 Everything is finite-dimensional and complex: vectors are coordinate
 columns, functionals are coordinate rows, operators are square and known
 by their action (:class:`Operator`); :class:`DenseOperator` is the one
-that stores its matrix.  All values are immutable after construction (the
-wrapped arrays are copied and marked read-only), so every operation here
-is pure and safe to call concurrently.
+that stores its matrix.
+
+Values are validated where they are built.  The constructors of
+:class:`Vector`, :class:`Functional` and :class:`DenseOperator` copy their
+input, reject empty, misshaped and non-finite arrays, and mark the copy
+read-only, so every value is immutable and every operation is pure and safe
+to call concurrently.  The algorithms in the other modules compute on plain
+arrays (``entries``, ``weights``, ``apply``, ``apply_left``) and build a
+value only for what they return: one validation per result, none per
+intermediate step.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,43 +47,63 @@ def _frozen_array(values, ndim: int, allow_empty: bool = False) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class Vector:
-    """Finite-dimensional coordinate vector with complex entries."""
+class _Coordinates:
+    """One validated, read-only coordinate array: the body shared by Vector and Functional.
 
-    entries: np.ndarray
+    A subclass is a frozen dataclass with one array field, named by
+    ``_FIELD``.  Arithmetic only combines values of the same class, so a
+    Vector and a Functional never add.
+    """
+
+    _FIELD: str
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _frozen_array(self.entries, 1))
+        object.__setattr__(self, self._FIELD, _frozen_array(self._array, 1))
+
+    @property
+    def _array(self) -> np.ndarray:
+        return getattr(self, self._FIELD)
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self._array.shape[0]
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.entries))
+        return float(np.linalg.norm(self._array))
 
-    def __add__(self, other: "Vector") -> "Vector":
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         _check_dims(self.dim, other.dim)
-        return Vector(self.entries + other.entries)
+        return type(self)(self._array + other._array)
 
-    def __sub__(self, other: "Vector") -> "Vector":
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         _check_dims(self.dim, other.dim)
-        return Vector(self.entries - other.entries)
+        return type(self)(self._array - other._array)
 
-    def __neg__(self) -> "Vector":
-        return Vector(-self.entries)
+    def __neg__(self):
+        return type(self)(-self._array)
 
-    def __mul__(self, scalar) -> "Vector":
-        return Vector(self.entries * complex(scalar))
+    def __mul__(self, scalar):
+        return type(self)(self._array * complex(scalar))
 
     __rmul__ = __mul__
 
-    @staticmethod
-    def basis(i: int, dim: int) -> "Vector":
+    @classmethod
+    def basis(cls, i: int, dim: int):
         e = np.zeros(dim, dtype=complex)
         e[i] = 1.0
-        return Vector(e)
+        return cls(e)
+
+
+@dataclass(frozen=True)
+class Vector(_Coordinates):
+    """Finite-dimensional coordinate vector with complex entries."""
+
+    entries: np.ndarray
+    _FIELD = "entries"
 
     @staticmethod
     def zero(dim: int) -> "Vector":
@@ -85,50 +111,19 @@ class Vector:
 
 
 @dataclass(frozen=True)
-class Functional:
+class Functional(_Coordinates):
     """Linear functional represented as a coordinate row of weights."""
 
     weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _frozen_array(self.weights, 1))
-
-    @property
-    def dim(self) -> int:
-        return self.weights.shape[0]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.weights))
+    _FIELD = "weights"
 
     def __call__(self, f: Vector) -> complex:
         return pair(self, f)
-
-    def __add__(self, other: "Functional") -> "Functional":
-        _check_dims(self.dim, other.dim)
-        return Functional(self.weights + other.weights)
-
-    def __sub__(self, other: "Functional") -> "Functional":
-        _check_dims(self.dim, other.dim)
-        return Functional(self.weights - other.weights)
-
-    def __neg__(self) -> "Functional":
-        return Functional(-self.weights)
-
-    def __mul__(self, scalar) -> "Functional":
-        return Functional(self.weights * complex(scalar))
-
-    __rmul__ = __mul__
 
     def __matmul__(self, op: "Operator") -> "Functional":
         """Composition self . op, a new row l(A .)."""
         _check_dims(self.dim, op.dim)
         return Functional(op.apply_left(self.weights))
-
-    @staticmethod
-    def basis(i: int, dim: int) -> "Functional":
-        e = np.zeros(dim, dtype=complex)
-        e[i] = 1.0
-        return Functional(e)
 
 
 class Operator:
@@ -220,13 +215,10 @@ class DenseOperator(Operator):
         return w @ self.matrix
 
     def __matmul__(self, other):
-        if isinstance(other, Vector):
-            _check_dims(self.dim, other.dim)
-            return Vector(self.matrix @ other.entries)
         if isinstance(other, DenseOperator):
             _check_dims(self.dim, other.dim)
             return DenseOperator(self.matrix @ other.matrix)
-        return NotImplemented
+        return super().__matmul__(other)
 
     def __add__(self, other: "DenseOperator") -> "DenseOperator":
         _check_dims(self.dim, other.dim)
@@ -301,16 +293,13 @@ def invert(a: Operator) -> DenseOperator:
     Raises :class:`SingularMatrixError` when the smallest pivot falls
     below PIVOT_RTOL times the largest one.
     """
-    with warnings.catch_warnings():
-        # Exactly-zero pivots are reported through SingularMatrixError below.
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a.matrix, check_finite=False)
+    lu, piv, _ = scipy.linalg.lapack.zgetrf(a.matrix)
     pivots = np.abs(np.diag(lu))
     if np.min(pivots) < PIVOT_RTOL * np.max(pivots):
         raise SingularMatrixError(
             f"matrix numerically singular: pivot ratio {np.min(pivots) / max(np.max(pivots), 1e-300):.3e}"
         )
-    inv = scipy.linalg.lu_solve((lu, piv), np.eye(a.dim, dtype=complex), check_finite=False)
+    inv, _ = scipy.linalg.lapack.zgetrs(lu, piv, np.eye(a.dim, dtype=complex))
     return DenseOperator(inv)
 
 

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import DenseOperator, Functional, Operator, RankOneForm, Vector, outer, pair
+from .core import DenseOperator, Functional, Operator, RankOneForm, Vector, pair
 
 # Each pole interval (a, b) is read at its ends moved inward by
 # NUDGE_RTOL * max(|a|, |b|); a root closer to a pole is not seen.  Relative
@@ -60,10 +60,6 @@ class SpectralPoint:
         k = complex(k)
         return cls(z=k * k, k=k)
 
-    def admissible(self, excluded: Callable[[complex], bool]) -> bool:
-        """True when z avoids the supplied spectrum-exclusion predicate."""
-        return not excluded(self.z)
-
 
 @dataclass(frozen=True)
 class ResolventDifference:
@@ -77,7 +73,8 @@ class ResolventDifference:
     denominator: complex
 
     def materialize(self) -> DenseOperator:
-        return outer(self.left, self.right) * (-1.0 / self.denominator)
+        scale = complex(-1.0 / self.denominator)
+        return DenseOperator(np.outer(self.left.entries, self.right.weights) * scale)
 
 
 @dataclass(frozen=True)
@@ -96,7 +93,7 @@ class EigenPair:
 
 def deflect(r1: Operator, z: complex, f: Vector) -> Vector:
     """Apply (-I + z R1) to f."""
-    return -f + complex(z) * (r1 @ f)
+    return Vector(-f.entries + r1.apply(f.entries) * complex(z))
 
 
 def krein_denominator(r1: Operator, z: complex, p: RankOneForm) -> complex:
@@ -121,14 +118,15 @@ def resolvent_difference(
     if tol is None:
         tol = default_tol(z, p.f.norm(), p.l.norm())
     z = complex(z)
-    left = deflect(r1, z, p.f)
-    right = -p.l + z * (p.l @ r1)
-    den = 1.0 + z * pair(p.l, left)
+    f, l = p.f.entries, p.l.weights
+    left = -f + r1.apply(f) * z
+    right = -l + r1.apply_left(l) * z
+    den = 1.0 + z * complex(np.dot(l, left))
     if abs(den) <= tol:
         raise EigenvalueHitError(
             f"denominator {den:.3e} vanishes at z={z}: z is a new eigenvalue"
         )
-    return ResolventDifference(left=left, right=right, denominator=den)
+    return ResolventDifference(left=Vector(left), right=Functional(right), denominator=den)
 
 
 def find_new_eigenvalues(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DenseOperator, RankOneForm, Vector, _check_dims, outer, pair
+from .core import DenseOperator, Operator, RankOneForm, Vector, _check_dims, pair
 
 
 class SingularPerturbationError(ArithmeticError):
@@ -50,37 +50,40 @@ def default_tol(l_a_inv_f: complex) -> float:
     return 1e-10 * (1.0 + abs(l_a_inv_f))
 
 
-def denominator(a_inv: DenseOperator, p: RankOneForm) -> complex:
+def denominator(a_inv: Operator, p: RankOneForm) -> complex:
     """The update scalar 1 - <l|A^-1 f>."""
     _check_dims(a_inv.dim, p.dim)
-    return 1.0 - pair(p.l, a_inv @ p.f)
+    return 1.0 - complex(np.dot(p.l.weights, a_inv.apply(p.f.entries)))
 
 
 def perturbed_inverse(
-    a_inv: DenseOperator, p: RankOneForm, tol: float | None = None
+    a_inv: Operator, p: RankOneForm, tol: float | None = None
 ) -> PerturbedInverseResult:
     """Invert B = A - |f><l| given A^-1, or certify B singular.
 
     Returns :class:`RegularInverse` carrying the rank-one correction
     when |denominator| > tol, else :class:`SingularInverse` carrying
-    the null vector A^-1 f.
+    the null vector A^-1 f.  Raises ValueError when A^-1 f or the
+    correction overflows.
     """
     _check_dims(a_inv.dim, p.dim)
-    u = a_inv @ p.f
-    l_u = pair(p.l, u)
+    # Validated before the branch: an A^-1 f that overflowed would give a NaN
+    # denominator and reach the singular branch's assertion.
+    u = Vector(a_inv.apply(p.f.entries))
+    l_u = complex(np.dot(p.l.weights, u.entries))
     if tol is None:
         tol = default_tol(l_u)
     den = 1.0 - l_u
     if abs(den) > tol:
-        correction = outer(u, p.l @ a_inv) * (1.0 / den)
-        return RegularInverse(correction=correction, denominator=den)
+        correction = np.outer(u.entries, a_inv.apply_left(p.l.weights)) * complex(1.0 / den)
+        return RegularInverse(correction=DenseOperator(correction), denominator=den)
     # f = 0 forces denominator = 1, so this branch implies a nonzero null vector.
     assert u.norm() > 0.0, "singular branch reached with f = 0"
     return SingularInverse(null_vector=u)
 
 
 def solve_perturbed(
-    a_inv: DenseOperator, p: RankOneForm, w: Vector, tol: float | None = None
+    a_inv: Operator, p: RankOneForm, w: Vector, tol: float | None = None
 ) -> Vector:
     """Solve (A - |f><l|) v = w with two applications of A^-1.
 
@@ -89,9 +92,9 @@ def solve_perturbed(
     """
     _check_dims(a_inv.dim, p.dim)
     _check_dims(a_inv.dim, w.dim)
-    t_f = a_inv @ p.f
-    t_w = a_inv @ w
-    l_t_f = pair(p.l, t_f)
+    t_f = a_inv.apply(p.f.entries)
+    t_w = a_inv.apply(w.entries)
+    l_t_f = complex(np.dot(p.l.weights, t_f))
     if tol is None:
         tol = default_tol(l_t_f)
     den = 1.0 - l_t_f
@@ -99,12 +102,12 @@ def solve_perturbed(
         raise SingularPerturbationError(
             f"perturbation denominator {den:.3e} within tolerance {tol:.3e} of zero"
         )
-    c = pair(p.l, t_w) / den
-    return t_w + c * t_f
+    c = complex(np.dot(p.l.weights, t_w)) / den
+    return Vector(t_w + t_f * c)
 
 
 def null_space_certificate(
-    a_inv: DenseOperator, p: RankOneForm, v0: Vector, tol: float = 1e-9
+    a_inv: Operator, p: RankOneForm, v0: Vector, tol: float = 1e-9
 ) -> bool:
     """Check that a nonzero v0 spans the kernel of B = A - |f><l|.
 
@@ -118,16 +121,16 @@ def null_space_certificate(
 
     pairing_ok = abs(pair(p.l, v0)) > tol * max(1.0, p.l.norm() * v0.norm())
 
-    u = a_inv @ p.f
-    l_u = pair(p.l, u)
+    u = a_inv.apply(p.f.entries)
+    l_u = complex(np.dot(p.l.weights, u))
     denominator_ok = abs(1.0 - l_u) <= tol * (1.0 + abs(l_u))
 
-    nu, nv = u.norm(), v0.norm()
+    nu, nv = float(np.linalg.norm(u)), v0.norm()
     if nu == 0.0:
         return False
     # Sine of the angle from the residual of projecting v0 on u:
     # sqrt(1 - cos^2) would have a rounding floor near 1.5e-8, above the default tol.
-    projection = u.entries * (np.vdot(u.entries, v0.entries) / nu**2)
+    projection = u * (np.vdot(u, v0.entries) / nu**2)
     collinear_ok = np.linalg.norm(v0.entries - projection) / nv <= tol
 
     return bool(pairing_ok and denominator_ok and collinear_ok)

@@ -22,7 +22,6 @@ from .core import (
     RankOneForm,
     Vector,
     _check_dims,
-    pair,
 )
 from .krein import EigenvalueHitError, ResolventDifference, default_tol
 
@@ -86,11 +85,11 @@ def choose_probe(d: Operator, tol: float = ADMISSIBILITY_RTOL) -> Probe:
 def coordinate_probe(d: Operator, i: int, j: int) -> Probe:
     """Probe with f0 = e_i, l0 = e_j, pairing D_ji (read from the row e_j^T D)."""
     l0 = Functional.basis(j, d.dim)
-    return Probe(f0=Vector.basis(i, d.dim), l0=l0, pairing=complex((l0 @ d).weights[i]))
+    return Probe(f0=Vector.basis(i, d.dim), l0=l0, pairing=complex(d.apply_left(l0.weights)[i]))
 
 
 def _require_admissible(
-    d: Operator, probe: Probe, d_f0: Vector, l0_d: Functional | None = None
+    d: Operator, probe: Probe, d_f0: np.ndarray, l0_d: np.ndarray | None = None
 ) -> float:
     """Check the probe pairing against ||D||_max and return that norm.
 
@@ -101,8 +100,8 @@ def _require_admissible(
     if isinstance(d, DenseOperator):
         d_max = d.norm_max()
     else:
-        l0_d = probe.l0 @ d if l0_d is None else l0_d
-        span = float(np.max(np.abs(d_f0.entries)) * np.max(np.abs(l0_d.weights)))
+        l0_d = d.apply_left(probe.l0.weights) if l0_d is None else l0_d
+        span = float(np.max(np.abs(d_f0)) * np.max(np.abs(l0_d)))
         d_max = span / abs(probe.pairing) if probe.pairing else np.inf
     if abs(probe.pairing) <= ADMISSIBILITY_RTOL * d_max:
         raise InadmissibleProbeError(
@@ -126,31 +125,31 @@ def recover_factors(d: Operator, probe: Probe, check_rank: bool = True) -> RankO
     refused.
     """
     _check_dims(d.dim, probe.f0.dim)
-    d_f0 = d @ probe.f0
-    l1 = probe.l0 @ d
+    d_f0 = d.apply(probe.f0.entries)
+    l1 = d.apply_left(probe.l0.weights)
     d_max = _require_admissible(d, probe, d_f0, l1)
-    f1 = d_f0 * (1.0 / probe.pairing)
+    f1 = d_f0 * complex(1.0 / probe.pairing)
     if check_rank:
         if isinstance(d, DenseOperator):
-            residual = np.outer(f1.entries, l1.weights)
+            residual = np.outer(f1, l1)
             residual -= d.matrix
             bound = RANK_TOL * d_max
         else:
             g = _test_vector(d.dim)
-            residual = d.apply(g) - f1.entries * (l1.weights @ g)
+            residual = d.apply(g) - f1 * (l1 @ g)
             bound = RANK_TOL * d_max * float(np.sum(np.abs(g)))
         if np.max(np.abs(residual)) > bound:
             raise NotRankOneError("difference operator has rank > 1")
-    return RankOneForm(f=f1, l=l1)
+    return RankOneForm(f=Vector(f1), l=Functional(l1))
 
 
 def bilinear_value(d: Operator, s: Operator, probe: Probe) -> complex:
     """<l|S f> for any factorization D = |f><l|, via <l0|D S D f0>/<l0|D f0>."""
     _check_dims(d.dim, s.dim)
     _check_dims(d.dim, probe.f0.dim)
-    d_f0 = d @ probe.f0
+    d_f0 = d.apply(probe.f0.entries)
     _require_admissible(d, probe, d_f0)
-    return pair(probe.l0, d @ (s @ d_f0)) / probe.pairing
+    return complex(np.dot(probe.l0.weights, d.apply(s.apply(d_f0)))) / probe.pairing
 
 
 def resolvent_difference_factor_free(
@@ -169,17 +168,18 @@ def resolvent_difference_factor_free(
     on the tridiagonal testbed.
     """
     z = complex(z)
-    d_f0 = d @ probe.f0
-    l0_d = probe.l0 @ d
+    d_f0 = d.apply(probe.f0.entries)
+    l0_d = d.apply_left(probe.l0.weights)
     _require_admissible(d, probe, d_f0, l0_d)
-    s_d_f0 = z * (r1 @ d_f0) - d_f0
-    den = 1.0 + z * pair(l0_d, s_d_f0) / probe.pairing
+    s_d_f0 = r1.apply(d_f0) * z - d_f0
+    den = 1.0 + z * complex(np.dot(l0_d, s_d_f0)) / probe.pairing
     if tol is None:
-        tol = default_tol(z, d_f0.norm() / abs(probe.pairing), l0_d.norm())
+        f_norm = float(np.linalg.norm(d_f0)) / abs(probe.pairing)
+        tol = default_tol(z, f_norm, float(np.linalg.norm(l0_d)))
     if abs(den) <= tol:
         raise EigenvalueHitError(
             f"denominator {den:.3e} vanishes at z={z}: z is a new eigenvalue"
         )
-    left = s_d_f0 * (1.0 / probe.pairing)
-    right = z * (l0_d @ r1) - l0_d
-    return ResolventDifference(left=left, right=right, denominator=den)
+    left = s_d_f0 * complex(1.0 / probe.pairing)
+    right = r1.apply_left(l0_d) * z - l0_d
+    return ResolventDifference(left=Vector(left), right=Functional(right), denominator=den)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import discretize, krein, laplace, probing
 from .core import DenseOperator, Functional, RankOneForm, Vector, invert, outer, pair, rank_estimate
-from .perturbed_inverse import RegularInverse, SingularInverse, perturbed_inverse, solve_perturbed
+from .perturbed_inverse import RegularInverse, SingularInverse, denominator, perturbed_inverse, solve_perturbed
 from .krein import SpectralPoint
 
 DEFAULT_SEED = 7
@@ -28,22 +28,22 @@ class InvariantResult:
     threshold: float
 
 
-def _random_operator(rng: np.random.Generator, dim: int) -> DenseOperator:
-    # Diagonal shift keeps the spectrum away from zero (condition number ~10).
+# Seeded instance builders, shared with the test suite.
+def random_operator(rng: np.random.Generator, dim: int) -> DenseOperator:
+    """Well-conditioned random operator: uniform entries plus a diagonal shift.
+
+    The shift keeps the spectrum away from zero (condition number ~10).
+    """
     raw = rng.uniform(-1, 1, (dim, dim)) + 1j * rng.uniform(-1, 1, (dim, dim))
     return DenseOperator(raw + 2.0 * dim * np.eye(dim))
 
 
-def _random_vector(rng: np.random.Generator, dim: int) -> Vector:
+def random_vector(rng: np.random.Generator, dim: int) -> Vector:
     return Vector(rng.uniform(-1, 1, dim) + 1j * rng.uniform(-1, 1, dim))
 
 
-def _random_functional(rng: np.random.Generator, dim: int) -> Functional:
+def random_functional(rng: np.random.Generator, dim: int) -> Functional:
     return Functional(rng.uniform(-1, 1, dim) + 1j * rng.uniform(-1, 1, dim))
-
-
-def _max_abs(m: DenseOperator) -> float:
-    return m.norm_max()
 
 
 # ---------------------------------------------------------------- operator core
@@ -53,8 +53,8 @@ def check_outer_acts_as_pairing(seed: int) -> InvariantResult:
     rng = np.random.default_rng(seed)
     dev = 0.0
     for dim in (2, 5, 9):
-        f = _random_vector(rng, dim)
-        l = _random_functional(rng, dim)
+        f = random_vector(rng, dim)
+        l = random_functional(rng, dim)
         op = outer(f, l)
         for i in range(dim):
             u = Vector.basis(i, dim)
@@ -68,7 +68,7 @@ def check_inverse_residual(seed: int) -> InvariantResult:
     rng = np.random.default_rng(seed)
     dev = 0.0
     for dim in (4, 12, 32):
-        a = _random_operator(rng, dim)
+        a = random_operator(rng, dim)
         a_inv = invert(a)
         eye = np.eye(dim)
         dev = max(dev, float(np.max(np.abs((a @ a_inv).matrix - eye))))
@@ -80,8 +80,8 @@ def check_outer_rank_bound(seed: int) -> InvariantResult:
     rng = np.random.default_rng(seed)
     worst = 0
     for dim in (2, 7, 16):
-        f = _random_vector(rng, dim)
-        l = _random_functional(rng, dim)
+        f = random_vector(rng, dim)
+        l = random_functional(rng, dim)
         worst = max(worst, rank_estimate(outer(f, l), 1e-10))
     return InvariantResult("outer-rank-bound", worst <= 1, float(worst), 1.0)
 
@@ -89,21 +89,22 @@ def check_outer_rank_bound(seed: int) -> InvariantResult:
 # ------------------------------------------------------------ perturbed inverse
 
 
-def _regular_instance(rng: np.random.Generator, dim: int):
+def regular_instance(rng: np.random.Generator, dim: int):
+    """(A, A^-1, form) with |1 - <l|A^-1 f>| above 0.1."""
     while True:
-        a = _random_operator(rng, dim)
-        p = RankOneForm(_random_vector(rng, dim), _random_functional(rng, dim))
+        a = random_operator(rng, dim)
+        p = RankOneForm(random_vector(rng, dim), random_functional(rng, dim))
         a_inv = invert(a)
-        den = 1.0 - pair(p.l, a_inv @ p.f)
-        if abs(den) > 0.1:
+        if abs(denominator(a_inv, p)) > 0.1:
             return a, a_inv, p
 
 
-def _singular_instance(rng: np.random.Generator, dim: int):
-    a = _random_operator(rng, dim)
+def singular_instance(rng: np.random.Generator, dim: int):
+    """(A, A^-1, form) crafted so that <l|A^-1 f> = 1 exactly (up to roundoff)."""
+    a = random_operator(rng, dim)
     a_inv = invert(a)
-    f = _random_vector(rng, dim)
-    l0 = _random_functional(rng, dim)
+    f = random_vector(rng, dim)
+    l0 = random_functional(rng, dim)
     q = pair(l0, a_inv @ f)
     l = l0 * (1.0 / q)  # forces <l|A^-1 f> = 1
     return a, a_inv, RankOneForm(f, l)
@@ -113,7 +114,7 @@ def check_perturbed_inverse_residual(seed: int) -> InvariantResult:
     rng = np.random.default_rng(seed)
     dev = 0.0
     for dim in (3, 8, 32):
-        a, a_inv, p = _regular_instance(rng, dim)
+        a, a_inv, p = regular_instance(rng, dim)
         result = perturbed_inverse(a_inv, p)
         assert isinstance(result, RegularInverse)
         b = a - p.materialize()
@@ -126,12 +127,12 @@ def check_singular_null_vector(seed: int) -> InvariantResult:
     rng = np.random.default_rng(seed)
     dev = 0.0
     for dim in (3, 8, 16):
-        a, a_inv, p = _singular_instance(rng, dim)
+        a, a_inv, p = singular_instance(rng, dim)
         result = perturbed_inverse(a_inv, p)
         assert isinstance(result, SingularInverse)
         b = a - p.materialize()
         v = result.null_vector
-        dev = max(dev, (b @ v).norm() / (_max_abs(b) * v.norm()))
+        dev = max(dev, (b @ v).norm() / (b.norm_max() * v.norm()))
     return InvariantResult("singular-null-vector", dev <= 1e-9, dev, 1e-9)
 
 
@@ -139,10 +140,10 @@ def check_solve_matches_inverse(seed: int) -> InvariantResult:
     rng = np.random.default_rng(seed)
     dev = 0.0
     for dim in (3, 8, 24):
-        a, a_inv, p = _regular_instance(rng, dim)
+        a, a_inv, p = regular_instance(rng, dim)
         result = perturbed_inverse(a_inv, p)
         assert isinstance(result, RegularInverse)
-        w = _random_vector(rng, dim)
+        w = random_vector(rng, dim)
         v_solve = solve_perturbed(a_inv, p, w)
         v_mat = result.apply_to(a_inv) @ w
         dev = max(dev, float(np.max(np.abs(v_solve.entries - v_mat.entries))))
@@ -153,7 +154,7 @@ def check_perturbation_gauge_invariance(seed: int) -> InvariantResult:
     rng = np.random.default_rng(seed)
     dev = 0.0
     for alpha in (2.0, -0.25 + 1.5j):
-        a, a_inv, p = _regular_instance(rng, 8)
+        a, a_inv, p = regular_instance(rng, 8)
         base = perturbed_inverse(a_inv, p)
         scaled = perturbed_inverse(a_inv, p.gauge(alpha))
         assert isinstance(base, RegularInverse) and isinstance(scaled, RegularInverse)
@@ -197,7 +198,7 @@ def check_krein_gauge_invariance(seed: int) -> InvariantResult:
     dev = 0.0
     for alpha in (3.0, 0.2 - 1.1j):
         scaled = krein.resolvent_difference(r1, z, form.gauge(alpha)).materialize()
-        dev = max(dev, float(np.max(np.abs(base.matrix - scaled.matrix))) / _max_abs(base))
+        dev = max(dev, float(np.max(np.abs(base.matrix - scaled.matrix))) / base.norm_max())
     return InvariantResult("krein-gauge-invariance", dev <= 1e-10, dev, 1e-10)
 
 
@@ -213,7 +214,7 @@ def check_eigenvalue_consistency(seed: int) -> InvariantResult:
     found = krein.find_new_eigenvalues(
         d_fn, (0.1, 30.0), 4, exclusions, eigenfunction_fn=eigenfunction, t2=pair_.t_dn
     )
-    norm_t2 = _max_abs(pair_.t_dn)
+    norm_t2 = pair_.t_dn.norm_max()
     dev = max(p.residual / norm_t2 for p in found) if found else float("inf")
     return InvariantResult("eigenvalue-consistency", dev <= 1e-6, dev, 1e-6)
 
@@ -235,7 +236,7 @@ def check_pole_avoidance(seed: int) -> InvariantResult:
 def check_probe_independence(seed: int) -> InvariantResult:
     rng = np.random.default_rng(seed)
     dim = 16
-    d = outer(_random_vector(rng, dim), _random_functional(rng, dim))
+    d = outer(random_vector(rng, dim), random_functional(rng, dim))
     reference = None
     dev = 0.0
     for i in range(dim):
@@ -254,10 +255,10 @@ def check_probe_independence(seed: int) -> InvariantResult:
 def check_bilinear_probe_independence(seed: int) -> InvariantResult:
     rng = np.random.default_rng(seed)
     dim = 16
-    f = _random_vector(rng, dim)
-    l = _random_functional(rng, dim)
+    f = random_vector(rng, dim)
+    l = random_functional(rng, dim)
     d = outer(f, l)
-    s = _random_operator(rng, dim)
+    s = random_operator(rng, dim)
     direct = pair(l, s @ f)
     dev = 0.0
     for i in range(dim):
@@ -273,7 +274,7 @@ def check_recovery_residual(seed: int) -> InvariantResult:
     rng = np.random.default_rng(seed)
     dev = 0.0
     for dim in (2, 9, 16):
-        d = outer(_random_vector(rng, dim), _random_functional(rng, dim))
+        d = outer(random_vector(rng, dim), random_functional(rng, dim))
         form = probing.recover_factors(d, probing.choose_probe(d))
         dev = max(
             dev,

@@ -13,7 +13,6 @@ import cmath
 import numpy as np
 import scipy.integrate
 
-from conftest import regular_instance, singular_instance
 from rankone import cli, discretize, laplace
 from rankone.core import DenseOperator, Functional, Vector, invert, outer, pair
 from rankone.krein import SpectralPoint, find_new_eigenvalues, resolvent_difference
@@ -26,6 +25,7 @@ from rankone.probing import (
     recover_factors,
     resolvent_difference_factor_free,
 )
+from rankone.verification import regular_instance, singular_instance
 
 Z0 = 2.4674011002723395  # ((1/2) pi)^2
 

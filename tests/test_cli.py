@@ -202,6 +202,19 @@ def test_perturb_wrong_block_shape_exits_three(tmp_path):
     assert code == 3
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_perturb_overflow_exits_three_with_one_line(tmp_path, capsys):
+    # A = 1e-200 I inverts without trouble, but A^-1 f = 1e400 overflows.
+    path = tmp_path / "overflow.txt"
+    path.write_text("2\n1e-200 0\n0 1e-200\n1e200 1e200\n1 -1\n")
+    code = cli.main(["perturb", "--matrix-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INPUT_ERROR == 3
+    assert captured.out == ""
+    assert captured.err.startswith("rankone: input error:")
+    assert captured.err.count("\n") == 1
+
+
 # ----------------------------------------------------------------- recover
 
 

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import seeded_functional, seeded_operator, seeded_vector
 from rankone.core import (
     DenseOperator,
     DimensionMismatchError,
@@ -17,6 +16,7 @@ from rankone.core import (
     pair,
     rank_estimate,
 )
+from rankone.verification import random_functional, random_operator, random_vector
 
 
 def test_pair_orthogonal_coordinates():
@@ -60,8 +60,8 @@ def test_outer_dimension_mismatch():
 def test_outer_acts_as_pairing_on_basis():
     rng = np.random.default_rng(11)
     for dim in (1, 3, 6):
-        f = seeded_vector(rng, dim)
-        l = seeded_functional(rng, dim)
+        f = random_vector(rng, dim)
+        l = random_functional(rng, dim)
         op = outer(f, l)
         for i in range(dim):
             u = Vector.basis(i, dim)
@@ -79,7 +79,7 @@ def test_invert_diagonal():
 
 def test_invert_residual_seeded():
     rng = np.random.default_rng(3)
-    a = seeded_operator(rng, 8)
+    a = random_operator(rng, 8)
     x = invert(a)
     assert np.max(np.abs((a @ x).matrix - np.eye(8))) <= 1e-10
 
@@ -87,7 +87,7 @@ def test_invert_residual_seeded():
 @pytest.mark.parametrize("dim", [2, 8, 32])
 def test_invert_two_sided_residual(dim):
     rng = np.random.default_rng(dim)
-    a = seeded_operator(rng, dim)
+    a = random_operator(rng, dim)
     x = invert(a)
     eye = np.eye(dim)
     assert np.max(np.abs((a @ x).matrix - eye)) <= 1e-10
@@ -120,8 +120,8 @@ def test_rank_estimate_requires_positive_tol():
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**31))
 def test_rank_of_random_outer_products(dim, seed):
     rng = np.random.default_rng(seed)
-    f = seeded_vector(rng, dim)
-    l = seeded_functional(rng, dim)
+    f = random_vector(rng, dim)
+    l = random_functional(rng, dim)
     assert rank_estimate(outer(f, l), 1e-10) <= 1
 
 
@@ -148,6 +148,13 @@ def test_values_are_immutable():
     a = DenseOperator.identity(2)
     with pytest.raises(ValueError):
         a.matrix[0, 0] = 5.0
+
+
+def test_vector_and_functional_do_not_mix():
+    with pytest.raises(TypeError):
+        Vector([1, 2]) + Functional([1, 2])
+    with pytest.raises(TypeError):
+        Functional([1, 2]) - Vector([1, 2])
 
 
 def test_rank_one_form_materializes_as_outer():

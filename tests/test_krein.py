@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import seeded_functional, seeded_vector
 from rankone import discretize, laplace, probing
 from rankone.core import DenseOperator, RankOneForm, Vector, invert
 from rankone.krein import (
@@ -15,6 +14,7 @@ from rankone.krein import (
     krein_denominator,
     resolvent_difference,
 )
+from rankone.verification import random_functional, random_vector
 
 PI_HALF_SQ = 2.4674011002723395  # ((1/2) pi)^2, first new eigenvalue
 
@@ -45,13 +45,6 @@ def test_spectral_point_rejects_mismatched_pair():
         SpectralPoint(z=4.0, k=1.0)
 
 
-def test_spectral_point_admissibility_predicate():
-    poles = {1.0, 4.0}
-    s = SpectralPoint.from_z(2.0)
-    assert s.admissible(lambda z: z in poles)
-    assert not SpectralPoint.from_z(4.0).admissible(lambda z: z in poles)
-
-
 # ------------------------------------------------------------------- deflect
 
 
@@ -64,7 +57,7 @@ def test_deflect_at_zero_negates():
 def test_deflect_scalar_resolvent_arithmetic():
     # T1 = I, z = 2: R1 = (2-1)^-1 I = I, so (-I + 2 R1) f = f
     rng = np.random.default_rng(2)
-    f = seeded_vector(rng, 4)
+    f = random_vector(rng, 4)
     assert_allclose(deflect(DenseOperator.identity(4), 2.0, f).entries, f.entries)
 
 
@@ -78,7 +71,7 @@ def test_deflect_zero_vector():
 
 def test_denominator_at_zero_is_one():
     rng = np.random.default_rng(3)
-    form = RankOneForm(seeded_vector(rng, 5), seeded_functional(rng, 5))
+    form = RankOneForm(random_vector(rng, 5), random_functional(rng, 5))
     r1 = DenseOperator.identity(5)
     assert krein_denominator(r1, 0.0, form) == 1
 
@@ -106,7 +99,7 @@ def test_resolvent_difference_at_zero_is_negated_outer():
     rng = np.random.default_rng(5)
     dim = 6
     t1 = DenseOperator(np.diag(np.arange(1.0, dim + 1)))
-    form = RankOneForm(seeded_vector(rng, dim), seeded_functional(rng, dim))
+    form = RankOneForm(random_vector(rng, dim), random_functional(rng, dim))
     r1 = invert(0.0 * DenseOperator.identity(dim) - t1)
     diff = resolvent_difference(r1, 0.0, form)
     assert diff.denominator == 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import regular_instance, seeded_vector, singular_instance
+from rankone import discretize
 from rankone.core import DenseOperator, Functional, RankOneForm, Vector, invert, outer, pair
 from rankone.perturbed_inverse import (
     RegularInverse,
@@ -13,6 +13,7 @@ from rankone.perturbed_inverse import (
     perturbed_inverse,
     solve_perturbed,
 )
+from rankone.verification import random_functional, random_vector, regular_instance, singular_instance
 
 
 def _identity_form(weight: float) -> tuple[DenseOperator, RankOneForm]:
@@ -82,7 +83,7 @@ def test_solve_zero_rhs():
 def test_solve_residual_seeded():
     rng = np.random.default_rng(23)
     a, a_inv, form = regular_instance(rng, 8)
-    w = seeded_vector(rng, 8)
+    w = random_vector(rng, 8)
     v = solve_perturbed(a_inv, form, w)
     b = a - form.materialize()
     assert np.max(np.abs((b @ v - w).entries)) <= 1e-10
@@ -92,7 +93,7 @@ def test_solve_rejects_singular_perturbation():
     rng = np.random.default_rng(29)
     _, a_inv, form = singular_instance(rng, 6)
     with pytest.raises(SingularPerturbationError):
-        solve_perturbed(a_inv, form, seeded_vector(rng, 6))
+        solve_perturbed(a_inv, form, random_vector(rng, 6))
 
 
 def test_solve_matches_materialized_inverse():
@@ -100,9 +101,32 @@ def test_solve_matches_materialized_inverse():
     _, a_inv, form = regular_instance(rng, 10)
     result = perturbed_inverse(a_inv, form)
     assert isinstance(result, RegularInverse)
-    w = seeded_vector(rng, 10)
+    w = random_vector(rng, 10)
     direct = result.apply_to(a_inv) @ w
     assert np.max(np.abs((solve_perturbed(a_inv, form, w) - direct).entries)) <= 1e-9
+
+
+def test_solve_with_tridiagonal_resolvent_matches_dense_solve():
+    # A = z - T_dd is known only through the action of its factored inverse.
+    pair_, z = discretize.build_pair(50), 3.0 + 1.0j
+    rng = np.random.default_rng(53)
+    form = RankOneForm(random_vector(rng, 50), random_functional(rng, 50))
+    w = random_vector(rng, 50)
+    v = solve_perturbed(discretize.resolvent(pair_.t_dd, z), form, w)
+    b = z * np.eye(50) - pair_.t_dd.matrix - np.outer(form.f.entries, form.l.weights)
+    direct = np.linalg.solve(b, w.entries)
+    assert np.max(np.abs(v.entries - direct)) <= 1e-10 * np.max(np.abs(direct))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_update_raises_value_error():
+    # A = 1e-200 I inverts without trouble, but A^-1 f = 1e400 overflows.
+    a_inv = invert(DenseOperator(1e-200 * np.eye(2)))
+    form = RankOneForm(Vector([1e200, 1e200]), Functional([1, -1]))
+    with pytest.raises(ValueError):
+        perturbed_inverse(a_inv, form)
+    with pytest.raises(ValueError):
+        solve_perturbed(a_inv, form, Vector([1, 1]))
 
 
 def test_certificate_accepts_kernel_vector():

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import seeded_functional, seeded_operator, seeded_vector
 from rankone import discretize
 from rankone.core import DenseOperator, Functional, Vector, invert, outer, pair
 from rankone.krein import EigenvalueHitError, resolvent_difference
@@ -19,6 +18,7 @@ from rankone.probing import (
     recover_factors,
     resolvent_difference_factor_free,
 )
+from rankone.verification import random_functional, random_operator, random_vector
 
 D_EXAMPLE = DenseOperator([[3.0, 4.0], [6.0, 8.0]])  # outer((1,2),(3,4))
 
@@ -67,7 +67,7 @@ def test_recover_factors_scalar_case():
 
 def test_recover_factors_seeded_reconstruction():
     rng = np.random.default_rng(13)
-    d = outer(seeded_vector(rng, 9), seeded_functional(rng, 9))
+    d = outer(random_vector(rng, 9), random_functional(rng, 9))
     form = recover_factors(d, choose_probe(d))
     dev = np.max(np.abs(form.materialize().matrix - d.matrix))
     assert dev <= 1e-10 * d.norm_max()
@@ -80,8 +80,8 @@ def test_recover_factors_refuses_higher_rank():
 
 def test_recover_factors_refuses_small_second_rank():
     rng = np.random.default_rng(41)
-    d = outer(seeded_vector(rng, 12), seeded_functional(rng, 12))
-    d = d + 1e-6 * outer(seeded_vector(rng, 12), seeded_functional(rng, 12))
+    d = outer(random_vector(rng, 12), random_functional(rng, 12))
+    d = d + 1e-6 * outer(random_vector(rng, 12), random_functional(rng, 12))
     with pytest.raises(NotRankOneError):
         recover_factors(d, choose_probe(d))
 
@@ -137,10 +137,10 @@ def test_bilinear_value_zero_weight():
 
 def test_bilinear_value_matches_direct_pairing():
     rng = np.random.default_rng(19)
-    f = seeded_vector(rng, 8)
-    l = seeded_functional(rng, 8)
+    f = random_vector(rng, 8)
+    l = random_functional(rng, 8)
     d = outer(f, l)
-    s = seeded_operator(rng, 8)
+    s = random_operator(rng, 8)
     direct = pair(l, s @ f)
     quotient = bilinear_value(d, s, choose_probe(d))
     assert abs(quotient - direct) <= 1e-10 * abs(direct)
@@ -149,7 +149,7 @@ def test_bilinear_value_matches_direct_pairing():
 def test_probe_independence_of_recovered_outer_product():
     rng = np.random.default_rng(23)
     dim = 16
-    d = outer(seeded_vector(rng, dim), seeded_functional(rng, dim))
+    d = outer(random_vector(rng, dim), random_functional(rng, dim))
     mats = []
     for i in range(dim):
         for j in range(dim):
@@ -167,7 +167,7 @@ def test_probe_independence_of_recovered_outer_product():
 def test_recovery_residual_property(seed):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(2, 12))
-    d = outer(seeded_vector(rng, dim), seeded_functional(rng, dim))
+    d = outer(random_vector(rng, dim), random_functional(rng, dim))
     form = recover_factors(d, choose_probe(d))
     assert np.max(np.abs(form.materialize().matrix - d.matrix)) <= 1e-10 * d.norm_max()
 
@@ -179,7 +179,7 @@ def test_factor_free_at_zero_is_negated_difference():
     rng = np.random.default_rng(29)
     dim = 6
     t1 = DenseOperator(np.diag(np.arange(1.0, dim + 1)))
-    d = outer(seeded_vector(rng, dim), seeded_functional(rng, dim))
+    d = outer(random_vector(rng, dim), random_functional(rng, dim))
     r1 = invert(0.0 * DenseOperator.identity(dim) - t1)
     diff = resolvent_difference_factor_free(r1, 0.0, d, choose_probe(d))
     assert_allclose(diff.materialize().matrix, -d.matrix, atol=1e-12)
@@ -203,7 +203,7 @@ def test_factor_free_matches_brute_force_on_random_instance():
     rng = np.random.default_rng(31)
     dim = 12
     t1 = DenseOperator(rng.uniform(-1, 1, (dim, dim)) + 2.0 * dim * np.eye(dim))
-    d = 0.01 * outer(seeded_vector(rng, dim), seeded_functional(rng, dim))
+    d = 0.01 * outer(random_vector(rng, dim), random_functional(rng, dim))
     t1_inv = invert(t1)
     t2 = invert(DenseOperator(t1_inv.matrix + d.matrix))
     z = 3.0 + 4.0j
@@ -227,10 +227,10 @@ def test_factor_free_raises_on_eigenvalue_hit():
 def test_bilinear_probe_independence():
     rng = np.random.default_rng(37)
     dim = 16
-    f = seeded_vector(rng, dim)
-    l = seeded_functional(rng, dim)
+    f = random_vector(rng, dim)
+    l = random_functional(rng, dim)
     d = outer(f, l)
-    s = seeded_operator(rng, dim)
+    s = random_operator(rng, dim)
     direct = pair(l, s @ f)
     for i in range(dim):
         for j in range(dim):
