@@ -383,11 +383,11 @@ def main(argv: list[str] | None = None) -> int:
     except (laplace.PoleError, EigenvalueHitError, discretize.SpectrumHitError) as exc:
         print(f"rankone: spectral pole: {exc}", file=sys.stderr)
         return EXIT_SPECTRAL_POLE
-    except InputError as exc:
+    except ValueError as exc:  # InputError included
         print(f"rankone: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except ValueError as exc:
-        print(f"rankone: input error: {exc}", file=sys.stderr)
+    except OverflowError as exc:
+        print(f"rankone: input error: result out of floating-point range ({exc})", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except MemoryError as exc:
         print(f"rankone: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)

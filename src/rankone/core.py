@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 class DimensionMismatchError(ValueError):
@@ -217,7 +216,9 @@ class DenseOperator(Operator):
     def __matmul__(self, other):
         if isinstance(other, DenseOperator):
             _check_dims(self.dim, other.dim)
-            return DenseOperator(self.matrix @ other.matrix)
+            with np.errstate(over="ignore", invalid="ignore"):  # DenseOperator rejects an overflow
+                product = self.matrix @ other.matrix
+            return DenseOperator(product)
         return super().__matmul__(other)
 
     def __add__(self, other: "DenseOperator") -> "DenseOperator":
@@ -284,7 +285,9 @@ def pair(l: Functional, f: Vector) -> complex:
 def outer(f: Vector, l: Functional) -> DenseOperator:
     """Outer product |f><l| with entries f_i * l_j."""
     _check_dims(f.dim, l.dim)
-    return DenseOperator(np.outer(f.entries, l.weights))
+    with np.errstate(over="ignore", invalid="ignore"):  # DenseOperator rejects an overflow
+        product = np.outer(f.entries, l.weights)
+    return DenseOperator(product)
 
 
 def invert(a: Operator) -> DenseOperator:
@@ -293,13 +296,15 @@ def invert(a: Operator) -> DenseOperator:
     Raises :class:`SingularMatrixError` when the smallest pivot falls
     below PIVOT_RTOL times the largest one.
     """
-    lu, piv, _ = scipy.linalg.lapack.zgetrf(a.matrix)
+    from scipy.linalg import lapack  # loaded on first factorization: most commands never factor
+
+    lu, piv, _ = lapack.zgetrf(a.matrix)
     pivots = np.abs(np.diag(lu))
     if np.min(pivots) < PIVOT_RTOL * np.max(pivots):
         raise SingularMatrixError(
             f"matrix numerically singular: pivot ratio {np.min(pivots) / max(np.max(pivots), 1e-300):.3e}"
         )
-    inv, _ = scipy.linalg.lapack.zgetrs(lu, piv, np.eye(a.dim, dtype=complex))
+    inv, _ = lapack.zgetrs(lu, piv, np.eye(a.dim, dtype=complex))
     return DenseOperator(inv)
 
 

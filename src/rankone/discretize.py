@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .core import Functional, Operator, RankOneForm, Vector, _frozen_array
 
@@ -135,10 +134,12 @@ class TridiagonalResolvent(Operator):
     factors: tuple
 
     def _solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        from scipy.linalg import lapack
+
         pad = self.factors[1].shape[0] - self.dim
         if pad:
             b = np.concatenate((b, np.zeros((pad,) + b.shape[1:], dtype=complex)))
-        return scipy.linalg.lapack.zgttrs(*self.factors, b, trans=trans)[0][: self.dim]
+        return lapack.zgttrs(*self.factors, b, trans=trans)[0][: self.dim]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self._solve(x)
@@ -205,6 +206,8 @@ def resolvent(t: Operator, z: complex) -> TridiagonalResolvent:
     precision: a zero pivot, or a reciprocal condition estimate (LAPACK
     ``zgtcon``, 1-norm, O(n)) below RCOND_TOL.
     """
+    from scipy.linalg import lapack  # loaded on first factorization, not on import
+
     if not isinstance(t, Tridiagonal):
         t = Tridiagonal.from_dense(t)
     z = complex(z)
@@ -219,10 +222,10 @@ def resolvent(t: Operator, z: complex) -> TridiagonalResolvent:
         pad = np.zeros(_LAPACK_MIN_DIM - t.dim)
         lower, upper = np.concatenate((lower, pad)), np.concatenate((upper, pad))
         diag = np.concatenate((diag, pad + anorm))
-    *factors, info = scipy.linalg.lapack.zgttrf(lower, diag, upper)
+    *factors, info = lapack.zgttrf(lower, diag, upper)
     if info > 0:
         raise SpectrumHitError(f"z={z} hits the discrete spectrum (zero pivot)")
-    rcond, _ = scipy.linalg.lapack.zgtcon(*factors, anorm)
+    rcond, _ = lapack.zgtcon(*factors, anorm)
     if rcond < RCOND_TOL:
         raise SpectrumHitError(f"z={z} hits the discrete spectrum (rcond {rcond:.3e})")
     return TridiagonalResolvent(t.dim, tuple(factors))

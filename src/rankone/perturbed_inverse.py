@@ -68,14 +68,18 @@ def perturbed_inverse(
     """
     _check_dims(a_inv.dim, p.dim)
     # Validated before the branch: an A^-1 f that overflowed would give a NaN
-    # denominator and reach the singular branch's assertion.
-    u = Vector(a_inv.apply(p.f.entries))
+    # denominator and reach the singular branch's assertion.  The Vector
+    # rejects it, so numpy's overflow warnings would only repeat that error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_entries = a_inv.apply(p.f.entries)
+    u = Vector(u_entries)
     l_u = complex(np.dot(p.l.weights, u.entries))
     if tol is None:
         tol = default_tol(l_u)
     den = 1.0 - l_u
     if abs(den) > tol:
-        correction = np.outer(u.entries, a_inv.apply_left(p.l.weights)) * complex(1.0 / den)
+        with np.errstate(over="ignore", invalid="ignore"):  # DenseOperator rejects an overflow
+            correction = np.outer(u.entries, a_inv.apply_left(p.l.weights)) * complex(1.0 / den)
         return RegularInverse(correction=DenseOperator(correction), denominator=den)
     # f = 0 forces denominator = 1, so this branch implies a nonzero null vector.
     assert u.norm() > 0.0, "singular branch reached with f = 0"

@@ -202,17 +202,63 @@ def test_perturb_wrong_block_shape_exits_three(tmp_path):
     assert code == 3
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_perturb_overflow_exits_three_with_one_line(tmp_path, capsys):
-    # A = 1e-200 I inverts without trouble, but A^-1 f = 1e400 overflows.
-    path = tmp_path / "overflow.txt"
-    path.write_text("2\n1e-200 0\n0 1e-200\n1e200 1e200\n1 -1\n")
-    code = cli.main(["perturb", "--matrix-file", str(path)])
-    captured = capsys.readouterr()
+# A = 1e-200 I inverts without trouble, but A^-1 f = 1e400 overflows.
+OVERFLOWING_INSTANCE = "2\n1e-200 0\n0 1e-200\n1e200 1e200\n1 -1\n"
+
+
+def _assert_one_line_input_error(code, out, err):
     assert code == cli.EXIT_INPUT_ERROR == 3
-    assert captured.out == ""
-    assert captured.err.startswith("rankone: input error:")
-    assert captured.err.count("\n") == 1
+    assert out == ""
+    assert err.startswith("rankone: input error:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_perturb_overflow_exits_three_with_one_line(tmp_path, capsys):
+    path = tmp_path / "overflow.txt"
+    path.write_text(OVERFLOWING_INSTANCE)
+    code = cli.main(["perturb", "--matrix-file", str(path)])
+    _assert_one_line_input_error(code, *capsys.readouterr())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2\n1 0\n0 1\n1e160 1e160\n1e160 0\n",  # |f><l| overflows
+        "2\n1 0\n0 1\n1 1\n1e308 -1e308\n",  # B B^-1 overflows
+    ],
+    ids=["outer", "product"],
+)
+def test_perturb_overflow_elsewhere_exits_three_with_one_line(tmp_path, capsys, text):
+    path = tmp_path / "overflow.txt"
+    path.write_text(text)
+    code = cli.main(["perturb", "--matrix-file", str(path)])
+    _assert_one_line_input_error(code, *capsys.readouterr())
+
+
+def test_perturb_overflow_prints_one_stderr_line_as_subprocess(tmp_path):
+    # pytest captures warnings in-process; a separate interpreter prints them.
+    path = tmp_path / "overflow.txt"
+    path.write_text(OVERFLOWING_INSTANCE)
+    result = subprocess.run(
+        [sys.executable, "-m", "rankone.cli", "perturb", "--matrix-file", str(path)],
+        env=_subprocess_env(), capture_output=True, text=True, stdin=subprocess.DEVNULL,
+    )
+    _assert_one_line_input_error(result.returncode, result.stdout, result.stderr)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["greens", "--which", "dd", "--z", "-1e6", "--grid-m", "2"],
+        ["resolvent-diff", "--source", "analytic", "--z=-1e6", "--grid-m", "2"],
+    ],
+)
+def test_kernel_overflow_exits_three_with_one_line(argv, capsys):
+    # |Im k| = 1000 overflows cmath.sin.
+    code = cli.main(argv)
+    _assert_one_line_input_error(code, *capsys.readouterr())
 
 
 # ----------------------------------------------------------------- recover
@@ -286,11 +332,18 @@ def test_csv_uses_seventeen_significant_digits():
     assert float(rows[0][1]) == (math.pi / 2) ** 2
 
 
-def test_import_leaves_heavy_scipy_modules_unloaded():
-    # Each of these costs a large share of start-up; none is needed to import the CLI.
-    heavy = ("scipy.optimize", "scipy.integrate", "scipy.fft")
+def _subprocess_env() -> dict:
     src = str(Path(rankone.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = f"import sys, rankone.cli; print([m for m in {heavy!r} if m in sys.modules])"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_import_leaves_heavy_scipy_modules_unloaded():
+    # Each of these costs a large share of start-up; none is needed to import
+    # the package or the CLI.  scipy.linalg loads on the first factorization.
+    heavy = ("scipy.linalg", "scipy.optimize", "scipy.integrate", "scipy.fft")
+    for module in ("rankone", "rankone.cli"):
+        code = f"import sys, {module}; print([m for m in {heavy!r} if m in sys.modules])"
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "[]", module
