@@ -8,12 +8,12 @@ price of O(h) boundary accuracy.  Matrix inverses approximate h times
 the continuous kernels at node pairs: T^-1[i,j] ~= h * G(x_i, x_j).
 Both matrices are tridiagonal and are kept as their three diagonals.
 Every routine here acts in O(n) time and memory (O(n log n) for the
-sine projection of the denominator): resolvents are tridiagonal LU
-factorizations applied by solves, the inverse difference is the
-difference of two of them, and the Dirichlet-Dirichlet eigenpairs and the
-Dirichlet-Neumann eigenvalues are used in closed form.  Each operator's
-dense ``matrix`` is materialized only when asked for, by solving against
-the identity.
+sine projection of the denominator, one complex FFT per factor):
+resolvents are tridiagonal LU factorizations applied by solves, the
+inverse difference is the difference of two of them, and the
+Dirichlet-Dirichlet eigenpairs and the Dirichlet-Neumann eigenvalues are
+used in closed form.  Each operator's dense ``matrix`` is materialized
+only when asked for, by solving against the identity.
 """
 
 from __future__ import annotations
@@ -257,42 +257,47 @@ def krein_denominator_function(
     given (e.g. factors recovered from the inverse difference).  The
     eigenpairs of t_dd are known in closed form: lambda_j from
     :func:`dd_eigenvalues` and the real orthonormal sine vectors
-    v_j = sqrt(2h) sin(j pi x_i).  Projecting f and l on them is a
-    discrete sine transform, O(n log n), and turns every evaluation into
-    an O(n) sum, which keeps root bracketing cheap:
+    v_j = sqrt(2h) sin(j pi x_i).  Projecting f and l on them is one
+    complex discrete sine transform each, O(n log n), and turns every
+    evaluation into an O(n) sum, which keeps root bracketing cheap:
 
         D(z) = 1 + z(-<l|f> + z * sum_j c_j / (z - lambda_j)),
         c_j = <l|v_j><v_j|f>.
+
+    The real and imaginary parts of the c_j are kept as the rows of one
+    real 2 x n array, so a real z is summed in real arithmetic and a
+    complex z in complex arithmetic by the same expression.
     """
     f = form.f if form is not None else pair.f_vec
     l = form.l if form is not None else pair.l_fun
     lam = dd_eigenvalues(pair)
-    scale = np.sqrt(2.0 * pair.grid.h)
-
-    def project(w: np.ndarray) -> np.ndarray:
-        return scale * (_sine_transform(w.real) + 1j * _sine_transform(w.imag))
-
-    coeff = project(l.weights) * project(f.entries)
+    s_l, s_f = _sine_transform(np.stack((l.weights, f.entries)))
+    coeff = 2.0 * pair.grid.h * s_l * s_f
+    parts = np.stack((coeff.real, coeff.imag))
     lf = complex(np.dot(l.weights, f.entries))
 
     def d_fn(z: complex) -> complex:
-        z = complex(z)
-        return 1.0 + z * (-lf + z * complex(np.sum(coeff / (z - lam))))
+        # tolist() hands back Python scalars, whose arithmetic is cheaper than numpy's.
+        re, im = (parts @ (1.0 / (z - lam))).tolist()
+        return complex(1.0 + z * (-lf + z * (re + 1j * im)))
 
     return d_fn
 
 
 def _sine_transform(w: np.ndarray) -> np.ndarray:
-    """sum_i sin(pi i j / (n+1)) w_i for j = 1..n, of a real w: a DST-I in O(n log n).
+    """sum_i sin(pi i j / (n+1)) w_i, j = 1..n, along the last axis of a complex w: a DST-I.
 
     The odd extension (0, w, 0, -reversed w) of length 2(n+1) has the
-    discrete Fourier transform -2i times this sum at j = 1..n.
+    discrete Fourier transform -2i times this sum at j = 1..n.  Both maps
+    are linear over the complex numbers, so one complex FFT serves the
+    real and the imaginary part of w together, and one call transforms
+    every row of w.
     """
-    n = w.shape[0]
-    odd = np.zeros(2 * (n + 1))
-    odd[1 : n + 1] = w
-    odd[n + 2 :] = -w[::-1]
-    return -0.5 * np.fft.rfft(odd)[1 : n + 1].imag
+    n = w.shape[-1]
+    odd = np.zeros(w.shape[:-1] + (2 * (n + 1),), dtype=complex)
+    odd[..., 1 : n + 1] = w
+    odd[..., n + 2 :] = -w[..., ::-1]
+    return 0.5j * np.fft.fft(odd)[..., 1 : n + 1]
 
 
 def dd_eigenvalues(pair: DiscretePair) -> np.ndarray:

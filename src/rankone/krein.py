@@ -8,12 +8,13 @@ resolvents is again rank-one:
 
 Zeros of the scalar denominator are the eigenvalues introduced by the
 perturbation.  They are located on the real axis with one bracket per
-interval between consecutive poles of R1, narrowed by Illinois regula
-falsi.  That finds every root not within NUDGE_RTOL * |z| of a pole when
-each such interval holds at most one, which the interlacing theorem for
-rank-one modifications guarantees when the denominator is
-c + sum_j w_j / (z - lambda_j) with every w_j >= 0 (self-adjoint T1, l
-proportional to the conjugate of f).
+interval between consecutive poles of R1, narrowed by Chandrupatla's
+hybrid of inverse quadratic interpolation and bisection (T. R.
+Chandrupatla, Adv. Eng. Software 28(3), 1997, 145-149).  That finds every
+root not within NUDGE_RTOL * |z| of a pole when each such interval holds
+at most one, which the interlacing theorem for rank-one modifications
+guarantees when the denominator is c + sum_j w_j / (z - lambda_j) with
+every w_j >= 0 (self-adjoint T1, l proportional to the conjugate of f).
 """
 
 from __future__ import annotations
@@ -150,8 +151,11 @@ def find_new_eigenvalues(
     h(x) = Re D(x) (x - a)(b - x), which has the signs and roots of Re D
     but not its poles at a and b, at both ends moved inward by the nudge.
     Equal signs there mean no root; opposite signs bracket the one root,
-    which Illinois regula falsi narrows to a width of
-    BISECTION_RTOL * max(1, |midpoint|).  Roots are paired with
+    which Chandrupatla's method narrows to a width of
+    BISECTION_RTOL * max(1, |midpoint|): each step takes inverse quadratic
+    interpolation through the last three points when they fit it and
+    bisects otherwise.  The root returned is the end of that last bracket
+    where |h| is smaller.  Roots are paired with
     ``eigenfunction_fn(z_n)`` when that callback is given, and with the
     eigen-residual against ``t2`` when that operator is given.  Emits a
     RuntimeWarning and truncates when more than ``max_count`` roots are
@@ -202,19 +206,30 @@ def _interval_root(denominator_fn: Callable[[complex], complex], a: float, b: fl
     h0, h1 = h(x0), h(x1)
     if not (h0 < 0.0 < h1 or h1 < 0.0 < h0):
         return None
-    # Illinois: halve the weight of an end that survives two steps in a row.
-    kept = None
-    while x1 - x0 > BISECTION_RTOL * max(1.0, abs(x0 + x1) / 2.0):
-        x = x1 - h1 * (x1 - x0) / (h1 - h0)
-        if not x0 < x < x1:
-            x = 0.5 * (x0 + x1)
+    # Chandrupatla (1997): x0 is the newest point and x1 the end of opposite
+    # sign; x2 is the point dropped last.  Each step goes to the fraction t
+    # of the way from x0 to x1: inverse quadratic interpolation through the
+    # three points when they fit it, the midpoint otherwise, and never closer
+    # than half the stop width to x0, so the last steps straddle the root.
+    x2, h2, t = x1, h1, 0.5
+    while True:
+        width = abs(x1 - x0)
+        tol = BISECTION_RTOL * max(1.0, abs(x0 + x1) / 2.0)
+        if width <= tol:
+            return x0 if abs(h0) < abs(h1) else x1
+        t_min = 0.5 * tol / width
+        x = x0 + min(1.0 - t_min, max(t_min, t)) * (x1 - x0)
         hx = h(x)
         if hx == 0.0:
             return x
-        if (hx > 0.0) == (h1 > 0.0):
-            x1, h1, h0 = x, hx, h0 * (0.5 if kept == 0 else 1.0)
-            kept = 0
+        if (hx > 0.0) == (h0 > 0.0):
+            x2, h2 = x0, h0
         else:
-            x0, h0, h1 = x, hx, h1 * (0.5 if kept == 1 else 1.0)
-            kept = 1
-    return 0.5 * (x0 + x1)
+            x2, h2, x1, h1 = x1, h1, x0, h0
+        x0, h0 = x, hx
+        xi = (x0 - x1) / (x2 - x1)
+        phi = (h0 - h1) / (h2 - h1)
+        if phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:
+            t = h0 / (h1 - h0) * h2 / (h1 - h2) + (x2 - x0) / (x1 - x0) * h0 / (h2 - h0) * h1 / (h2 - h1)
+        else:
+            t = 0.5

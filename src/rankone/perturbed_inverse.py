@@ -13,6 +13,7 @@ applications of A^-1, never forming B^-1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,16 @@ def default_tol(l_a_inv_f: complex) -> float:
     return 1e-10 * (1.0 + abs(l_a_inv_f))
 
 
+def _check_pairing(l_u: complex) -> None:
+    """ValueError when <l|A^-1 f> or its modulus overflowed.
+
+    An infinite pairing would widen the band of :func:`default_tol` to
+    infinity and report an invertible B as singular.
+    """
+    if not math.isfinite(math.hypot(l_u.real, l_u.imag)):
+        raise ValueError(f"<l|A^-1 f> = {l_u} is out of floating-point range")
+
+
 def denominator(a_inv: Operator, p: RankOneForm) -> complex:
     """The update scalar 1 - <l|A^-1 f>."""
     _check_dims(a_inv.dim, p.dim)
@@ -63,17 +74,19 @@ def perturbed_inverse(
 
     Returns :class:`RegularInverse` carrying the rank-one correction
     when |denominator| > tol, else :class:`SingularInverse` carrying
-    the null vector A^-1 f.  Raises ValueError when A^-1 f or the
-    correction overflows.
+    the null vector A^-1 f.  Raises ValueError when A^-1 f, <l|A^-1 f> or
+    the correction overflows.
     """
     _check_dims(a_inv.dim, p.dim)
-    # Validated before the branch: an A^-1 f that overflowed would give a NaN
-    # denominator and reach the singular branch's assertion.  The Vector
-    # rejects it, so numpy's overflow warnings would only repeat that error.
+    # Validated before the branch: an A^-1 f or <l|A^-1 f> that overflowed
+    # would give an infinite or NaN denominator and tolerance, and reach the
+    # singular branch.  Vector and _check_pairing reject them, so numpy's
+    # overflow warnings would only repeat that error.
     with np.errstate(over="ignore", invalid="ignore"):
         u_entries = a_inv.apply(p.f.entries)
+        l_u = complex(np.dot(p.l.weights, u_entries))
     u = Vector(u_entries)
-    l_u = complex(np.dot(p.l.weights, u.entries))
+    _check_pairing(l_u)
     if tol is None:
         tol = default_tol(l_u)
     den = 1.0 - l_u
@@ -92,13 +105,15 @@ def solve_perturbed(
     """Solve (A - |f><l|) v = w with two applications of A^-1.
 
     Computes c = <l|A^-1 w> / (1 - <l|A^-1 f>) and returns
-    v = A^-1 (w + c f) without ever forming B^-1.
+    v = A^-1 (w + c f) without ever forming B^-1.  Raises ValueError when
+    <l|A^-1 f> or the solution overflows.
     """
     _check_dims(a_inv.dim, p.dim)
     _check_dims(a_inv.dim, w.dim)
     t_f = a_inv.apply(p.f.entries)
     t_w = a_inv.apply(w.entries)
     l_t_f = complex(np.dot(p.l.weights, t_f))
+    _check_pairing(l_t_f)
     if tol is None:
         tol = default_tol(l_t_f)
     den = 1.0 - l_t_f

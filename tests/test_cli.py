@@ -12,6 +12,7 @@ import pytest
 
 import rankone
 from rankone import cli
+from rankone.krein import BISECTION_RTOL
 
 
 def run_cli(argv):
@@ -101,6 +102,16 @@ def test_eigs_denominator_matches_analytic():
     _, rows = parse_csv(out)
     assert float(rows[0][1]) == pytest.approx(2.4674011002723395, abs=1e-9)
     assert float(rows[1][1]) == pytest.approx(22.206609902451056, abs=1e-9)
+
+
+def test_eigs_denominator_thirty_roots_within_bisection_tolerance():
+    code, out = run_cli(["eigs", "--method", "denominator", "--count", "30"])
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [int(r[0]) for r in rows] == list(range(30))
+    for j, z, _k in rows:
+        exact = ((int(j) + 0.5) * math.pi) ** 2
+        assert abs(float(z) - exact) <= BISECTION_RTOL * exact
 
 
 def test_eigs_discrete_within_one_percent():
@@ -246,6 +257,18 @@ def test_perturb_overflow_prints_one_stderr_line_as_subprocess(tmp_path):
         env=_subprocess_env(), capture_output=True, text=True, stdin=subprocess.DEVNULL,
     )
     _assert_one_line_input_error(result.returncode, result.stdout, result.stderr)
+
+
+def test_perturb_pairing_overflow_prints_one_stderr_line_as_subprocess(tmp_path):
+    # A = I and f = l = (1e154, 1e154): B is invertible but <l|A^-1 f> overflows.
+    path = tmp_path / "overflow.txt"
+    path.write_text("2\n1 0\n0 1\n1e154 1e154\n1e154 1e154\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "rankone.cli", "perturb", "--matrix-file", str(path)],
+        env=_subprocess_env(), capture_output=True, text=True, stdin=subprocess.DEVNULL,
+    )
+    _assert_one_line_input_error(result.returncode, result.stdout, result.stderr)
+    assert "out of floating-point range" in result.stderr
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from rankone.discretize import (
     Grid,
     SpectrumHitError,
     Tridiagonal,
+    _sine_transform,
     build_pair,
     dd_eigenvalues,
     discrete_new_eigenvalues,
@@ -282,16 +283,38 @@ def test_inverse_difference_actions_match_dense_inverses(n):
     _assert_actions_match(inverse_difference(pair), oracle)
 
 
-@pytest.mark.parametrize("n", [2, 3, 50])
-def test_denominator_function_matches_resolvent_path_for_complex_factors(n):
+def _gauged_recovered_denominator(n: int):
     # Recovered factors under a complex gauge exercise both parts of the sine transform.
     pair = build_pair(n)
     d = inverse_difference(pair)
     form = probing.recover_factors(d, probing.choose_probe(d)).gauge(0.5 - 1.5j)
-    d_fn = krein_denominator_function(pair, form)
-    for z in (0.7, 1.0 + 2.0j, -3.0 - 0.5j):
+    return pair, form, krein_denominator_function(pair, form)
+
+
+# 2(n + 1) = 2 * 1021 is twice a prime: numpy's FFT takes Bluestein's path there.
+@pytest.mark.parametrize("n", [2, 3, 50, 1020])
+def test_denominator_function_matches_resolvent_path_for_complex_factors(n):
+    pair, form, d_fn = _gauged_recovered_denominator(n)
+    for z in (0.7, -3.0, 1.0 + 2.0j, -3.0 - 0.5j):
         direct = krein_denominator(resolvent(pair.t_dd, z), z, form)
         assert d_fn(z) == pytest.approx(direct, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 1020])
+def test_sine_transform_of_complex_input_matches_dense_sum(n):
+    rng = np.random.default_rng(n)
+    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    i = np.arange(1, n + 1)
+    dense = np.sin(np.pi * np.outer(i, i) / (n + 1)) @ w
+    assert_allclose(_sine_transform(w), dense, rtol=0.0, atol=1e-12 * np.sum(np.abs(w)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 1020])
+def test_denominator_function_real_argument_matches_complex_argument(n):
+    # A real z is summed in real arithmetic, the same z as a complex in complex arithmetic.
+    pair, _, d_fn = _gauged_recovered_denominator(n)
+    for x in (-3.0, 0.7, 5.3, 40.0):
+        assert d_fn(x) == pytest.approx(d_fn(complex(x)), rel=1e-14, abs=0.0)
 
 
 def test_structured_pipeline_at_large_n_allocates_no_dense_matrix():

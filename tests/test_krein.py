@@ -7,6 +7,8 @@ from numpy.testing import assert_allclose
 from rankone import discretize, laplace, probing
 from rankone.core import DenseOperator, RankOneForm, Vector, invert
 from rankone.krein import (
+    BISECTION_RTOL,
+    NUDGE_RTOL,
     EigenvalueHitError,
     SpectralPoint,
     deflect,
@@ -220,6 +222,17 @@ def test_finds_root_closer_to_pole_than_a_probe_step():
     assert [p.z.real for p in found] == pytest.approx(expected, rel=1e-12)
 
 
+def test_finds_root_five_nudges_from_a_pole():
+    # The root sits 1e-10 = 5e-11 |z| below the pole at 2: five times the
+    # inward move of the bracket's end, so the bracket still holds it.
+    pole, gap = 2.0, 5.0 * NUDGE_RTOL * 2.0
+    d_fn, eigs = _secular(0.3, [1.0, pole, 3.0], [1.0, 0.3 * gap, 1.0])
+    expected = [e for e in eigs if 0.5 < e < 3.5]
+    assert len(expected) == 2 and pole - expected[0] == pytest.approx(gap, rel=1e-3)
+    found = find_new_eigenvalues(d_fn, (0.5, 3.5), 4, [1.0, pole, 3.0])
+    assert [p.z.real for p in found] == pytest.approx(expected, rel=BISECTION_RTOL)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     first=st.floats(-5.0, 5.0),
@@ -251,7 +264,22 @@ def test_discrete_root_search_evaluation_budget():
     poles = [float(p) for p in discretize.dd_eigenvalues(pair)[:5]]
     found = find_new_eigenvalues(counted, (0.05, poles[4]), 5, poles[:4])
     assert [p.z.real for p in found] == pytest.approx(discretize.discrete_new_eigenvalues(pair, 5), rel=1e-11)
-    assert len(calls) <= 100
+    assert len(calls) <= 51  # 47 evaluations, plus 10%
+
+
+def test_analytic_root_search_evaluation_budget():
+    # eigs --method denominator --count 17: seventeen roots of k cot k.
+    count = 17
+    calls = []
+
+    def counted(z: complex) -> complex:
+        calls.append(z)
+        return _analytic_denominator(z)
+
+    poles = [(j * np.pi) ** 2 for j in range(1, count + 1)]
+    found = find_new_eigenvalues(counted, (0.05, poles[-1] - 1.0), count, poles)
+    assert [p.z.real for p in found] == pytest.approx([((j + 0.5) * np.pi) ** 2 for j in range(count)], rel=1e-12)
+    assert len(calls) <= 159  # 145 evaluations, plus 10%
 
 
 def test_discrete_denominator_root_matches_analytic():

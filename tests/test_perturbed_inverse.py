@@ -129,6 +129,18 @@ def test_overflowing_update_raises_value_error():
         solve_perturbed(a_inv, form, Vector([1, 1]))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_pairing_raises_value_error():
+    # B = I - |f><l| is invertible, but <l|A^-1 f> = 2e308 overflows; taken
+    # as it is, it would widen the tolerance band to infinity and report B singular.
+    a_inv = DenseOperator.identity(2)
+    form = RankOneForm(Vector([1e154, 1e154]), Functional([1e154, 1e154]))
+    with pytest.raises(ValueError, match="out of floating-point range"):
+        perturbed_inverse(a_inv, form)
+    with pytest.raises(ValueError, match="out of floating-point range"):
+        solve_perturbed(a_inv, form, Vector([1, 1]))
+
+
 def test_certificate_accepts_kernel_vector():
     a_inv, form = _identity_form(1.0)
     assert null_space_certificate(a_inv, form, Vector([1, 0]))
