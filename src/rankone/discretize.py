@@ -13,12 +13,19 @@ resolvents are tridiagonal LU factorizations applied by solves, the
 inverse difference is the difference of two of them, and the
 Dirichlet-Dirichlet eigenpairs and the Dirichlet-Neumann eigenvalues are
 used in closed form.  Each operator's dense ``matrix`` is materialized
-only when asked for, by solving against the identity.
+only when asked for, by solving against the identity.  A resolvent
+refuses z on the spectrum.  For a Hermitian T, such as both testbed
+operators, it proves z clear of the spectrum by |Im z| or by one Sturm
+count (LAPACK ``dstebz``, O(n)).  Only when that proof fails (z near an
+eigenvalue) or T is not Hermitian does it run the costlier condition
+estimate ``zgtcon``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import cmath
+import math
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -28,12 +35,19 @@ from .core import Functional, Operator, RankOneForm, Vector, _frozen_array
 
 # scipy's wrappers of the LAPACK tridiagonal routines reject fewer rows.
 _LAPACK_MIN_DIM = 3
+_EPS = np.finfo(float).eps
 # Reciprocal 1-norm condition of z - T below which z counts as a spectrum
 # hit.  At exact eigenvalues of the testbed pair zgtcon gave at most 4.5 eps
 # (n = 3 to 1e5), independent of n; at z = 0 it gives ~0.5/n^2, which stays
 # above this up to n ~ 8e6.  A bound growing with n, such as n * eps, misses
-# hits at n = 3 and refuses z = 0 for t_dn from n ~ 2e5.
-RCOND_TOL = 32 * np.finfo(float).eps
+# hits at n = 3 and refuses z = 0 for t_dn from n ~ 2e5.  zgtcon runs only
+# when the clearance certificate below cannot decide.
+RCOND_TOL = 32 * _EPS
+# For Hermitian T, z - T is normal and ||(z - T)^-1||_1 <= sqrt(n) / dist(z, spec T),
+# so dist >= CLEARANCE sqrt(n) RCOND_TOL ||z - T||_1 proves
+# rcond_1(z - T) >= CLEARANCE * RCOND_TOL.  zgtcon's estimate of
+# ||(z - T)^-1||_1 never exceeds the norm, so it would not report a hit there.
+CLEARANCE = 8
 
 
 class SpectrumHitError(ArithmeticError):
@@ -70,6 +84,10 @@ class Tridiagonal(Operator):
     lower: np.ndarray
     diag: np.ndarray
     upper: np.ndarray
+    # (d, e) when T is Hermitian, else None: the real symmetric tridiagonal
+    # with diagonal d = Re diag and off-diagonal e = |upper| is unitarily
+    # similar to T.
+    _sturm: tuple | None = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("lower", "diag", "upper"):
@@ -80,6 +98,11 @@ class Tridiagonal(Operator):
                 f"diagonals must have lengths n-1, n, n-1 with n >= 1, got "
                 f"{self.lower.shape[0]}, {n}, {self.upper.shape[0]}"
             )
+        sturm = None
+        if not self.diag.imag.any() and np.array_equal(self.lower, self.upper.conj()):
+            e = np.abs(self.upper) if n > 1 else np.zeros(1)  # dstebz's wrapper takes no empty e
+            sturm = (np.ascontiguousarray(self.diag.real), e)
+        object.__setattr__(self, "_sturm", sturm)
 
     @classmethod
     def from_dense(cls, t: Operator) -> "Tridiagonal":
@@ -200,17 +223,26 @@ def resolvent(t: Operator, z: complex) -> TridiagonalResolvent:
     """(z - T)^-1 of a tridiagonal T as one O(n) LU factorization of z - T.
 
     ``t`` is a :class:`Tridiagonal` or any operator whose matrix is
-    tridiagonal (ValueError otherwise).  The result applies (z - T)^-1 to
-    a vector by one O(n) solve, from the left by one transposed solve.
-    Raises :class:`SpectrumHitError` when z - T is singular to working
-    precision: a zero pivot, or a reciprocal condition estimate (LAPACK
-    ``zgtcon``, 1-norm, O(n)) below RCOND_TOL.
+    tridiagonal (ValueError otherwise), and z must be finite (ValueError).
+    The result applies (z - T)^-1 to a vector by one O(n) solve, from the
+    left by one transposed solve.  Raises :class:`SpectrumHitError` when
+    z - T is singular to working precision: a zero pivot, or a reciprocal
+    condition estimate (LAPACK ``zgtcon``, 1-norm, O(n)) below RCOND_TOL.
+    The estimate, 7 to 16 solves, is skipped when a certificate proves
+    rcond_1(z - T) >= CLEARANCE * RCOND_TOL: T Hermitian and
+    dist(z, spec T) >= delta = CLEARANCE sqrt(n) RCOND_TOL ||z - T||_1,
+    which holds when |Im z| >= delta or when one Sturm count finds no
+    eigenvalue within delta of Re z.  ``zgtcon`` runs for a non-Hermitian
+    T and for z within about delta of an eigenvalue, so the certificate
+    changes no decision and no factor.
     """
     from scipy.linalg import lapack  # loaded on first factorization, not on import
 
     if not isinstance(t, Tridiagonal):
         t = Tridiagonal.from_dense(t)
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"z={z} is not finite")
     lower, diag, upper = -t.lower, z - t.diag, -t.upper
     col_sums = np.abs(diag)
     col_sums[1:] += np.abs(upper)
@@ -225,10 +257,50 @@ def resolvent(t: Operator, z: complex) -> TridiagonalResolvent:
     *factors, info = lapack.zgttrf(lower, diag, upper)
     if info > 0:
         raise SpectrumHitError(f"z={z} hits the discrete spectrum (zero pivot)")
-    rcond, _ = lapack.zgtcon(*factors, anorm)
-    if rcond < RCOND_TOL:
-        raise SpectrumHitError(f"z={z} hits the discrete spectrum (rcond {rcond:.3e})")
+    if not _clear_of_spectrum(t, z, anorm):
+        rcond, _ = lapack.zgtcon(*factors, anorm)
+        if rcond < RCOND_TOL:
+            raise SpectrumHitError(f"z={z} hits the discrete spectrum (rcond {rcond:.3e})")
     return TridiagonalResolvent(t.dim, tuple(factors))
+
+
+def _clear_of_spectrum(t: Tridiagonal, z: complex, anorm: float) -> bool:
+    """Whether dist(z, spec T) >= CLEARANCE sqrt(n) RCOND_TOL ``anorm`` is proven for a Hermitian T.
+
+    ``anorm`` = ||z - T||_1 > 0, which the zero-pivot check guarantees.
+    The spectrum is real, so |Im z| bounds the distance from below.
+    Otherwise the Sturm count's window around Re z is widened by the
+    count's backward error, a few eps (|Re z| + ||T||_2), where
+    ||T||_2 <= |z| + anorm.
+    """
+    if t._sturm is None:
+        return False
+    delta = CLEARANCE * math.sqrt(t.dim) * RCOND_TOL * anorm
+    if abs(z.imag) >= delta:
+        return True
+    reach = delta + 32.0 * _EPS * (abs(z) + anorm)
+    return eigenvalue_count(t, z.real - reach, z.real + reach) == 0
+
+
+def eigenvalue_count(t: Tridiagonal, lo: float, hi: float) -> int:
+    """Number of eigenvalues of a Hermitian tridiagonal ``t`` in (lo, hi], lo < hi.
+
+    Two Sturm counts, O(n) each, by LAPACK ``dstebz`` on the real symmetric
+    tridiagonal unitarily similar to ``t``; no eigenvalue is computed.  Each
+    count is exact for a matrix within a few eps ||T|| of ``t``, so an
+    eigenvalue that close to lo or hi may fall on either side.  ValueError
+    for a non-Hermitian ``t`` or unless lo < hi.
+    """
+    from scipy.linalg import lapack
+
+    if t._sturm is None:
+        raise ValueError("eigenvalue_count needs a Hermitian tridiagonal")
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got ({lo}, {hi}]")
+    d, e = t._sturm
+    # RANGE='V' (1) counts eigenvalues in (lo, hi]; an infinite ABSTOL takes
+    # every bisection interval as converged, so only the two counts run.
+    return int(lapack.dstebz(d, e, 1, float(lo), float(hi), 0, 0, math.inf, "E")[0])
 
 
 def discrete_new_eigenvalues(pair: DiscretePair, count: int) -> list[float]:

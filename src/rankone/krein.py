@@ -34,6 +34,7 @@ from .core import DenseOperator, Functional, Operator, RankOneForm, Vector, pair
 # its poles (laplace.POLE_RTOL), and below its j-th pole b - a is ~2|z|/j.
 NUDGE_RTOL = 1e-11
 BISECTION_RTOL = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 
 class EigenvalueHitError(ArithmeticError):
@@ -102,9 +103,18 @@ def krein_denominator(r1: Operator, z: complex, p: RankOneForm) -> complex:
     return 1.0 + complex(z) * pair(p.l, deflect(r1, z, p.f))
 
 
-def default_tol(z: complex, f_norm: float, l_norm: float) -> float:
-    """Eigenvalue-hit band 1e-10 * (1 + |z| ||f|| ||l||), scaled because the denominator grows with z."""
-    return 1e-10 * (1.0 + abs(z) * f_norm * l_norm)
+def default_tol(z: complex, f_norm: float, l_norm: float, deflected_norm: float) -> float:
+    """Eigenvalue-hit band of the denominator 1 + z <l|(-I + z R1) f>.
+
+    1e-10 (1 + |z| ||l|| ||(-I + z R1) f||) scales with the two terms the
+    denominator sums, and stays bounded as |z| grows, where (-I + z R1) f
+    shrinks like T f / z.  Forming (-I + z R1) f cancels terms of size
+    ||f||, so the rounding bound 16 eps |z| ||l|| ||f|| is added: a
+    denominator that is zero to working precision, as at |z| >~ 1e17 on
+    the testbed, is refused as well.
+    """
+    z_abs = abs(z)
+    return 1e-10 * (1.0 + z_abs * l_norm * deflected_norm) + 16.0 * _EPS * z_abs * l_norm * f_norm
 
 
 def resolvent_difference(
@@ -116,13 +126,13 @@ def resolvent_difference(
     :class:`EigenvalueHitError` when the scalar denominator is inside
     the tolerance band around zero.
     """
-    if tol is None:
-        tol = default_tol(z, p.f.norm(), p.l.norm())
     z = complex(z)
     f, l = p.f.entries, p.l.weights
     left = -f + r1.apply(f) * z
     right = -l + r1.apply_left(l) * z
     den = 1.0 + z * complex(np.dot(l, left))
+    if tol is None:
+        tol = default_tol(z, p.f.norm(), p.l.norm(), float(np.linalg.norm(left)))
     if abs(den) <= tol:
         raise EigenvalueHitError(
             f"denominator {den:.3e} vanishes at z={z}: z is a new eigenvalue"

@@ -174,8 +174,10 @@ def resolvent_difference_factor_free(
     s_d_f0 = r1.apply(d_f0) * z - d_f0
     den = 1.0 + z * complex(np.dot(l0_d, s_d_f0)) / probe.pairing
     if tol is None:
+        # f = D f0 / pairing, l = l0 D and (-I + z R1) f = s_d_f0 / pairing.
         f_norm = float(np.linalg.norm(d_f0)) / abs(probe.pairing)
-        tol = default_tol(z, f_norm, float(np.linalg.norm(l0_d)))
+        deflected_norm = float(np.linalg.norm(s_d_f0)) / abs(probe.pairing)
+        tol = default_tol(z, f_norm, float(np.linalg.norm(l0_d)), deflected_norm)
     if abs(den) <= tol:
         raise EigenvalueHitError(
             f"denominator {den:.3e} vanishes at z={z}: z is a new eigenvalue"

@@ -167,6 +167,20 @@ def test_resolvent_diff_complex_flag_syntax():
     assert table["denominator_im"] != 0
 
 
+@pytest.mark.parametrize("z", ["inf", "nan", "1,nan"])
+def test_resolvent_diff_non_finite_z_exits_three_with_one_line(z, capsys):
+    code = cli.main(["resolvent-diff", "--source", "discrete", "--n", "20", "--z", z])
+    _assert_one_line_input_error(code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("z", ["1e12", "-1e12", "1e12,1"])
+def test_resolvent_diff_at_large_z_is_no_eigenvalue_hit(z):
+    code, out = run_cli(["resolvent-diff", "--source", "discrete", "--n", "20", "--z", z])
+    assert code == 0
+    table = {r[0]: float(r[1]) for r in parse_csv(out)[1]}
+    assert table["denominator_re"] == pytest.approx(21.0, rel=1e-5)
+
+
 # ----------------------------------------------------------------- perturb
 
 

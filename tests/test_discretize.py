@@ -1,13 +1,18 @@
 import tracemalloc
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from rankone import laplace, probing
+from rankone import discretize, laplace, probing
 from rankone.core import DenseOperator, Functional, RankOneForm, Vector, invert, rank_estimate
 from rankone.discretize import (
+    CLEARANCE,
+    RCOND_TOL,
     Grid,
     SpectrumHitError,
     Tridiagonal,
@@ -15,6 +20,7 @@ from rankone.discretize import (
     build_pair,
     dd_eigenvalues,
     discrete_new_eigenvalues,
+    eigenvalue_count,
     inverse_difference,
     krein_denominator_function,
     resolvent,
@@ -125,6 +131,12 @@ def test_resolvent_rejects_spectrum_hit():
     z0 = float(dd_eigenvalues(pair)[0])
     with pytest.raises(SpectrumHitError):
         resolvent(pair.t_dd, z0)
+
+
+@pytest.mark.parametrize("z", [float("nan"), complex(1.0, float("nan")), float("inf"), complex(-1.0, float("-inf"))])
+def test_resolvent_rejects_non_finite_z(z):
+    with pytest.raises(ValueError, match="not finite"):
+        resolvent(build_pair(5).t_dd, z)
 
 
 def test_resolvent_rejects_non_tridiagonal_operator():
@@ -345,3 +357,129 @@ def test_structured_pipeline_at_large_n_allocates_no_dense_matrix():
     j = np.arange(1, count + 1)
     closed_form = 4.0 / h**2 * np.sin((2 * j - 1) * np.pi / (2 * (2 * n + 1))) ** 2
     assert_allclose([p.z.real for p in found], closed_form, rtol=1e-8)
+
+
+# ------------------------------------- spectrum clearance certificate and Sturm count
+
+
+def _zgtcon_calls(monkeypatch) -> list:
+    from scipy.linalg import lapack
+
+    calls = []
+    estimate = lapack.zgtcon
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "zgtcon", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [800, 1000, 1200])
+def test_benchmark_resolvents_skip_the_condition_estimate(monkeypatch, n):
+    # The dense-krein op: z = 0 for both operators (the inverse difference),
+    # a real z in the middle half of a gap of the merged low spectra, and a
+    # complex z with 0.5 <= |Im z| <= 20.
+    calls = _zgtcon_calls(monkeypatch)
+    pair = build_pair(n)
+    inverse_difference(pair)
+    edges = np.sort(np.concatenate([[0.0], dd_eigenvalues(pair)[:5], discrete_new_eigenvalues(pair, 5)]))
+    for a, b in zip(edges[:-1], edges[1:]):
+        for frac in (0.25, 0.75):
+            resolvent(pair.t_dd, a + frac * (b - a))
+    for z in (-50.0 + 0.5j, 200.0 - 0.5j, 75.0 + 20.0j):
+        resolvent(pair.t_dd, z)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [30, 200, 1000])
+def test_resolvent_at_an_eigenvalue_runs_the_condition_estimate(monkeypatch, n):
+    calls = _zgtcon_calls(monkeypatch)
+    pair = build_pair(n)
+    with pytest.raises(SpectrumHitError):
+        resolvent(pair.t_dd, float(dd_eigenvalues(pair)[0]))
+    assert len(calls) >= 1
+
+
+def _factors_unless_hit(t: Tridiagonal, z: complex):
+    """The LU factors of resolvent(t, z), or None when it raises SpectrumHitError."""
+    try:
+        return resolvent(t, z).factors
+    except SpectrumHitError:
+        return None
+
+
+@st.composite
+def _tridiagonal_and_z(draw):
+    n = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["real-symmetric", "hermitian", "general"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 6))
+    diag = scale * rng.standard_normal(n)
+    off = scale * rng.standard_normal(n - 1)
+    if kind == "real-symmetric":
+        t = Tridiagonal(off, diag, off)
+    elif kind == "hermitian":
+        off = off + 1j * scale * rng.standard_normal(n - 1)
+        t = Tridiagonal(off.conj(), diag, off)
+    else:
+        t = Tridiagonal(_complex_uniform(rng, n - 1) * scale, diag + 1j * scale * rng.standard_normal(n), off)
+    target = complex(np.linalg.eigvals(t.matrix)[draw(st.integers(0, n - 1))])
+    # ||z - T||_1 at z = target; the scale keeps it nonzero where z - T = 0 (n = 1).
+    anorm = max(scale, float(np.max(np.sum(np.abs(target * np.eye(n) - t.matrix), axis=0))))
+    delta = CLEARANCE * np.sqrt(n) * RCOND_TOL * anorm
+    if draw(st.booleans()):
+        z = target + draw(st.sampled_from([1.0, -1.0, 1j, 100.0 + 100.0j])) * 3.0 * anorm
+    else:
+        shift = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, -0.5, -1.0, -2.0]))
+        tiny = draw(st.sampled_from([0.0, 1e-6, -0.25, 0.5, 1.0, -2.0]))
+        z = target + delta * complex(shift, tiny)
+    return t, z
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tridiagonal_and_z())
+def test_certificate_decides_as_the_condition_estimate_alone(case):
+    # With the certificate switched off, resolvent is the zgtcon-only rule.
+    t, z = case
+    decided = _factors_unless_hit(t, z)
+    with mock.patch.object(discretize, "_clear_of_spectrum", return_value=False):
+        estimated = _factors_unless_hit(t, z)
+    assert (decided is None) == (estimated is None)
+    if decided is not None:
+        assert all(np.array_equal(a, b) for a, b in zip(decided, estimated))
+
+
+@pytest.mark.parametrize("n", [3, 50, 1000, 100_000])
+def test_eigenvalue_count_matches_closed_form(n):
+    pair = build_pair(n)
+    for t, lam in ((pair.t_dd, dd_eigenvalues(pair)), (pair.t_dn, np.array(discrete_new_eigenvalues(pair, n)))):
+        mids = (lam[1:] + lam[:-1]) / 2.0
+        picks = mids[np.unique(np.linspace(0, len(mids) - 1, 5).astype(int))]
+        ends = [-1.0, 0.05, *picks, 2.0 * lam[-1]]
+        for lo in ends:
+            for hi in ends:
+                if lo < hi:
+                    assert eigenvalue_count(t, lo, hi) == np.count_nonzero((lam > lo) & (lam <= hi))
+
+
+def test_eigenvalue_count_refuses_non_hermitian_or_empty_interval():
+    with pytest.raises(ValueError):
+        eigenvalue_count(_skewed_tridiagonal(5), 0.0, 1.0)
+    with pytest.raises(ValueError):
+        eigenvalue_count(build_pair(5).t_dd, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("n, roots", [(50, 5), (1000, 5), (1000, 40)])
+def test_root_search_finds_as_many_roots_as_the_sturm_count(n, roots):
+    # find_new_eigenvalues as the dense-krein benchmark calls it.
+    pair = build_pair(n)
+    d = inverse_difference(pair)
+    form = probing.recover_factors(d, probing.choose_probe(d))
+    poles = dd_eigenvalues(pair)
+    interval = (0.05, float(poles[roots - 1]))
+    found = find_new_eigenvalues(
+        krein_denominator_function(pair, form), interval, roots, [float(p) for p in poles[: roots - 1]]
+    )
+    assert len(found) == eigenvalue_count(pair.t_dn, *interval) == roots

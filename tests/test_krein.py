@@ -142,6 +142,43 @@ def test_resolvent_difference_raises_on_eigenvalue_hit():
         resolvent_difference(r1, z0, form)
 
 
+def _both_paths(n: int, z: complex):
+    """The factor-based and the factor-free Krein difference at z, on the n-node testbed."""
+    pair = discretize.build_pair(n)
+    d = discretize.inverse_difference(pair)
+    probe = probing.choose_probe(d)
+    r1 = discretize.resolvent(pair.t_dd, z)
+    return (
+        lambda: resolvent_difference(r1, z, probing.recover_factors(d, probe)),
+        lambda: probing.resolvent_difference_factor_free(r1, z, d, probe),
+    )
+
+
+@pytest.mark.parametrize("z", [1e12, -1e12, 1e12 + 1j])
+def test_eigenvalue_hit_band_stays_bounded_at_large_z(z):
+    # The denominator tends to 21 at n = 20 as |z| grows; a band growing like
+    # |z| ||f|| ||l|| reached 31 at |z| = 1e12 and refused it.
+    for path in _both_paths(20, z):
+        assert path().denominator == pytest.approx(21.0, rel=1e-5)
+
+
+@pytest.mark.parametrize("z", [1e20, -1e20, 1e308])
+def test_denominator_lost_to_rounding_raises(z):
+    # -f + z R1 f cancels to rounding noise of size eps ||f||; the computed
+    # denominator is then off by orders of magnitude from its limit 21.
+    for path in _both_paths(20, z):
+        with pytest.raises(EigenvalueHitError):
+            path()
+
+
+def test_every_new_eigenvalue_raises_on_both_paths():
+    pair = discretize.build_pair(20)
+    for mu in discretize.discrete_new_eigenvalues(pair, 20):
+        for path in _both_paths(20, mu):
+            with pytest.raises(EigenvalueHitError):
+                path()
+
+
 def test_resolvent_difference_gauge_invariance():
     pair, form = _recovered(60)
     z = 1.3 + 0.4j
