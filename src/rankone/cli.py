@@ -99,20 +99,27 @@ def _grid_values(m: int) -> np.ndarray:
 # ------------------------------------------------------------------- commands
 
 
+# --which -> (static kernel, spectral kernel)
+_GREENS_KERNELS = {
+    "dd": (laplace.green_dd_static, laplace.green_dd_spectral),
+    "dn": (laplace.green_dn_static, laplace.green_dn_spectral),
+    "diff": (laplace.static_difference, laplace.spectral_difference),
+}
+
+
 def cmd_greens(args) -> OutputRecord:
     params = {"which": args.which, "grid_m": args.grid_m, "format": args.format}
+    static, spectral = _GREENS_KERNELS[args.which]
     if args.z is not None:
         params["z"] = [args.z.real, args.z.imag]
-        kernel = laplace.analytic_kernel(f"{args.which}-spectral")
-        s = SpectralPoint.from_z(args.z)
+        kernel, kernel_args = spectral, (SpectralPoint.from_z(args.z),)
     else:
         params["z"] = None
-        kernel = laplace.analytic_kernel(f"{args.which}-static")
-        s = None
+        kernel, kernel_args = static, ()
     record = OutputRecord("greens", params, ["x", "xi", "re", "im"])
     for x in _grid_values(args.grid_m):
         for xi in _grid_values(args.grid_m):
-            value = kernel(laplace.KernelPoint(float(x), float(xi)), s)
+            value = kernel(laplace.KernelPoint(float(x), float(xi)), *kernel_args)
             record.rows.append((float(x), float(xi), value.real, value.imag))
     return record
 

@@ -193,15 +193,10 @@ class DenseOperator(Operator):
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex, copy=True)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"operator matrix must be square, got shape {mat.shape}")
-        if mat.size == 0:
-            raise ValueError("dimension must be >= 1")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("entries must be finite (no NaN/Inf)")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        shape = np.shape(self.matrix)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"operator matrix must be square, got shape {shape}")
+        object.__setattr__(self, "matrix", _frozen_array(self.matrix, 2))
 
     @property
     def dim(self) -> int:
@@ -240,10 +235,6 @@ class DenseOperator(Operator):
     @staticmethod
     def identity(dim: int) -> "DenseOperator":
         return DenseOperator(np.eye(dim, dtype=complex))
-
-    @staticmethod
-    def zero(dim: int) -> "DenseOperator":
-        return DenseOperator(np.zeros((dim, dim), dtype=complex))
 
 
 @dataclass(frozen=True)

@@ -104,16 +104,6 @@ class Tridiagonal(Operator):
             sturm = (np.ascontiguousarray(self.diag.real), e)
         object.__setattr__(self, "_sturm", sturm)
 
-    @classmethod
-    def from_dense(cls, t: Operator) -> "Tridiagonal":
-        """The three diagonals of ``t.matrix``; ValueError if it has other entries."""
-        m = t.matrix
-        diagonals = (np.diagonal(m, -1), np.diagonal(m), np.diagonal(m, 1))
-        outside = np.count_nonzero(m) - sum(np.count_nonzero(b) for b in diagonals)
-        if outside:
-            raise ValueError(f"operator is not tridiagonal: {outside} entries off the three diagonals")
-        return cls(*diagonals)
-
     @property
     def dim(self) -> int:
         return self.diag.shape[0]
@@ -219,15 +209,14 @@ def inverse_difference(pair: DiscretePair) -> Operator:
     return resolvent(pair.t_dd, 0.0) - resolvent(pair.t_dn, 0.0)
 
 
-def resolvent(t: Operator, z: complex) -> TridiagonalResolvent:
-    """(z - T)^-1 of a tridiagonal T as one O(n) LU factorization of z - T.
+def resolvent(t: Tridiagonal, z: complex) -> TridiagonalResolvent:
+    """(z - T)^-1 of a :class:`Tridiagonal` T as one O(n) LU factorization of z - T.
 
-    ``t`` is a :class:`Tridiagonal` or any operator whose matrix is
-    tridiagonal (ValueError otherwise), and z must be finite (ValueError).
-    The result applies (z - T)^-1 to a vector by one O(n) solve, from the
-    left by one transposed solve.  Raises :class:`SpectrumHitError` when
-    z - T is singular to working precision: a zero pivot, or a reciprocal
-    condition estimate (LAPACK ``zgtcon``, 1-norm, O(n)) below RCOND_TOL.
+    z must be finite (ValueError).  The result applies (z - T)^-1 to a
+    vector by one O(n) solve, from the left by one transposed solve.
+    Raises :class:`SpectrumHitError` when z - T is singular to working
+    precision: a zero pivot, or a reciprocal condition estimate (LAPACK
+    ``zgtcon``, 1-norm, O(n)) below RCOND_TOL.
     The estimate, 7 to 16 solves, is skipped when a certificate proves
     rcond_1(z - T) >= CLEARANCE * RCOND_TOL: T Hermitian and
     dist(z, spec T) >= delta = CLEARANCE sqrt(n) RCOND_TOL ||z - T||_1,
@@ -238,8 +227,6 @@ def resolvent(t: Operator, z: complex) -> TridiagonalResolvent:
     """
     from scipy.linalg import lapack  # loaded on first factorization, not on import
 
-    if not isinstance(t, Tridiagonal):
-        t = Tridiagonal.from_dense(t)
     z = complex(z)
     if not cmath.isfinite(z):
         raise ValueError(f"z={z} is not finite")

@@ -117,27 +117,41 @@ def default_tol(z: complex, f_norm: float, l_norm: float, deflected_norm: float)
     return 1e-10 * (1.0 + z_abs * l_norm * deflected_norm) + 16.0 * _EPS * z_abs * l_norm * f_norm
 
 
-def resolvent_difference(
-    r1: Operator, z: complex, p: RankOneForm, tol: float | None = None
-) -> ResolventDifference:
+def resolvent_difference(r1: Operator, z: complex, p: RankOneForm) -> ResolventDifference:
     """Rank-one factorization of (z - T2)^-1 - (z - T1)^-1.
 
     ``r1`` must be (z - T1)^-1 at this z.  Raises
     :class:`EigenvalueHitError` when the scalar denominator is inside
-    the tolerance band around zero.
+    the :func:`default_tol` band around zero.
     """
-    z = complex(z)
-    f, l = p.f.entries, p.l.weights
-    left = -f + r1.apply(f) * z
-    right = -l + r1.apply_left(l) * z
-    den = 1.0 + z * complex(np.dot(l, left))
-    if tol is None:
-        tol = default_tol(z, p.f.norm(), p.l.norm(), float(np.linalg.norm(left)))
+    return _difference(r1, complex(z), p.f.entries, p.l.weights, 1.0)
+
+
+def _difference(
+    r1: Operator, z: complex, f: np.ndarray, l: np.ndarray, pairing: complex
+) -> ResolventDifference:
+    """The Krein difference for the rank-one form |f><l| / ``pairing``.
+
+    The one body of :func:`resolvent_difference` (pairing 1) and of the
+    probing path's factor-free difference (f = D f0, l = l0 D and pairing
+    <l0|D f0>).  The denominator 1 + z <l|(-I + z R1) f> / pairing is
+    refused inside the :func:`default_tol` band, taken on the factors of
+    the scaled form.
+    """
+    left = r1.apply(f) * z - f
+    den = 1.0 + z * complex(np.dot(l, left)) / pairing
+    scale = abs(pairing)
+    tol = default_tol(
+        z, float(np.linalg.norm(f)) / scale, float(np.linalg.norm(l)), float(np.linalg.norm(left)) / scale
+    )
     if abs(den) <= tol:
         raise EigenvalueHitError(
             f"denominator {den:.3e} vanishes at z={z}: z is a new eigenvalue"
         )
-    return ResolventDifference(left=Vector(left), right=Functional(right), denominator=den)
+    right = r1.apply_left(l) * z - l
+    return ResolventDifference(
+        left=Vector(left * complex(1.0 / pairing)), right=Functional(right), denominator=den
+    )
 
 
 def find_new_eigenvalues(

@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import cmath
 from collections import namedtuple
-from dataclasses import dataclass
-from typing import Callable
 
 from .krein import SpectralPoint
 
@@ -228,34 +226,3 @@ def dn_eigenvalues(count: int) -> list[SpectralPoint]:
     if count < 1:
         raise ValueError("count must be >= 1")
     return [SpectralPoint.from_k((n + 0.5) * cmath.pi) for n in range(count)]
-
-
-_KERNELS: dict[str, Callable[[KernelPoint, SpectralPoint | None], complex]] = {
-    "dd-static": lambda pt, s=None: complex(green_dd_static(pt)),
-    "dn-static": lambda pt, s=None: complex(green_dn_static(pt)),
-    "diff-static": lambda pt, s=None: complex(static_difference(pt)),
-    "dd-spectral": green_dd_spectral,
-    "dn-spectral": green_dn_spectral,
-    "diff-spectral": spectral_difference,
-}
-KERNEL_KINDS = tuple(_KERNELS)
-
-
-@dataclass(frozen=True)
-class AnalyticKernel:
-    """A named kernel evaluator; spectral kinds require a SpectralPoint."""
-
-    kind: str
-    evaluator: Callable[[KernelPoint, SpectralPoint | None], complex]
-
-    def __call__(self, pt: KernelPoint, s: SpectralPoint | None = None) -> complex:
-        if s is None and self.kind.endswith("-spectral"):
-            raise ValueError(f"kernel kind {self.kind!r} needs a spectral point")
-        return self.evaluator(pt, s)
-
-
-def analytic_kernel(kind: str) -> AnalyticKernel:
-    """Kernel factory for the six supported kinds (see KERNEL_KINDS)."""
-    if kind not in _KERNELS:
-        raise ValueError(f"unknown kernel kind {kind!r}; expected one of {KERNEL_KINDS}")
-    return AnalyticKernel(kind=kind, evaluator=_KERNELS[kind])

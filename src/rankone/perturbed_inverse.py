@@ -45,52 +45,49 @@ class SingularInverse:
 
 PerturbedInverseResult = RegularInverse | SingularInverse
 
+# Relative tolerance of each of the three tests in null_space_certificate.
+CERTIFICATE_RTOL = 1e-9
+
 
 def default_tol(l_a_inv_f: complex) -> float:
     """Relative band around the singular manifold: 1e-10 * (1 + |<l|A^-1 f>|)."""
     return 1e-10 * (1.0 + abs(l_a_inv_f))
 
 
-def _check_pairing(l_u: complex) -> None:
-    """ValueError when <l|A^-1 f> or its modulus overflowed.
+def _pairing(a_inv: Operator, p: RankOneForm) -> tuple[np.ndarray, complex]:
+    """A^-1 f and <l|A^-1 f>; ValueError when the pairing or its modulus overflowed.
 
     An infinite pairing would widen the band of :func:`default_tol` to
-    infinity and report an invertible B as singular.
+    infinity and report an invertible B as singular, and a NaN one would
+    reach the singular branch.  The check rejects both, so numpy's
+    overflow warnings would only repeat that error.
     """
+    _check_dims(a_inv.dim, p.dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = a_inv.apply(p.f.entries)
+        l_u = complex(np.dot(p.l.weights, u))
     if not math.isfinite(math.hypot(l_u.real, l_u.imag)):
         raise ValueError(f"<l|A^-1 f> = {l_u} is out of floating-point range")
+    return u, l_u
 
 
 def denominator(a_inv: Operator, p: RankOneForm) -> complex:
-    """The update scalar 1 - <l|A^-1 f>."""
-    _check_dims(a_inv.dim, p.dim)
-    return 1.0 - complex(np.dot(p.l.weights, a_inv.apply(p.f.entries)))
+    """The update scalar 1 - <l|A^-1 f>; ValueError when <l|A^-1 f> overflows."""
+    return 1.0 - _pairing(a_inv, p)[1]
 
 
-def perturbed_inverse(
-    a_inv: Operator, p: RankOneForm, tol: float | None = None
-) -> PerturbedInverseResult:
+def perturbed_inverse(a_inv: Operator, p: RankOneForm) -> PerturbedInverseResult:
     """Invert B = A - |f><l| given A^-1, or certify B singular.
 
     Returns :class:`RegularInverse` carrying the rank-one correction
-    when |denominator| > tol, else :class:`SingularInverse` carrying
-    the null vector A^-1 f.  Raises ValueError when A^-1 f, <l|A^-1 f> or
-    the correction overflows.
+    when |denominator| > :func:`default_tol`, else :class:`SingularInverse`
+    carrying the null vector A^-1 f.  Raises ValueError when A^-1 f,
+    <l|A^-1 f> or the correction overflows.
     """
-    _check_dims(a_inv.dim, p.dim)
-    # Validated before the branch: an A^-1 f or <l|A^-1 f> that overflowed
-    # would give an infinite or NaN denominator and tolerance, and reach the
-    # singular branch.  Vector and _check_pairing reject them, so numpy's
-    # overflow warnings would only repeat that error.
-    with np.errstate(over="ignore", invalid="ignore"):
-        u_entries = a_inv.apply(p.f.entries)
-        l_u = complex(np.dot(p.l.weights, u_entries))
+    u_entries, l_u = _pairing(a_inv, p)
     u = Vector(u_entries)
-    _check_pairing(l_u)
-    if tol is None:
-        tol = default_tol(l_u)
     den = 1.0 - l_u
-    if abs(den) > tol:
+    if abs(den) > default_tol(l_u):
         with np.errstate(over="ignore", invalid="ignore"):  # DenseOperator rejects an overflow
             correction = np.outer(u.entries, a_inv.apply_left(p.l.weights)) * complex(1.0 / den)
         return RegularInverse(correction=DenseOperator(correction), denominator=den)
@@ -99,23 +96,19 @@ def perturbed_inverse(
     return SingularInverse(null_vector=u)
 
 
-def solve_perturbed(
-    a_inv: Operator, p: RankOneForm, w: Vector, tol: float | None = None
-) -> Vector:
+def solve_perturbed(a_inv: Operator, p: RankOneForm, w: Vector) -> Vector:
     """Solve (A - |f><l|) v = w with two applications of A^-1.
 
     Computes c = <l|A^-1 w> / (1 - <l|A^-1 f>) and returns
-    v = A^-1 (w + c f) without ever forming B^-1.  Raises ValueError when
-    <l|A^-1 f> or the solution overflows.
+    v = A^-1 (w + c f) without ever forming B^-1.  Raises
+    :class:`SingularPerturbationError` when the denominator is within
+    :func:`default_tol` of zero, and ValueError when <l|A^-1 f> or the
+    solution overflows.
     """
-    _check_dims(a_inv.dim, p.dim)
     _check_dims(a_inv.dim, w.dim)
-    t_f = a_inv.apply(p.f.entries)
+    t_f, l_t_f = _pairing(a_inv, p)
     t_w = a_inv.apply(w.entries)
-    l_t_f = complex(np.dot(p.l.weights, t_f))
-    _check_pairing(l_t_f)
-    if tol is None:
-        tol = default_tol(l_t_f)
+    tol = default_tol(l_t_f)
     den = 1.0 - l_t_f
     if abs(den) <= tol:
         raise SingularPerturbationError(
@@ -125,31 +118,28 @@ def solve_perturbed(
     return Vector(t_w + t_f * c)
 
 
-def null_space_certificate(
-    a_inv: Operator, p: RankOneForm, v0: Vector, tol: float = 1e-9
-) -> bool:
+def null_space_certificate(a_inv: Operator, p: RankOneForm, v0: Vector) -> bool:
     """Check that a nonzero v0 spans the kernel of B = A - |f><l|.
 
     True iff <l|v0> is nonzero, the denominator 1 - <l|A^-1 f> vanishes,
-    and v0 is collinear with A^-1 f (sine of the angle below tol).
+    and v0 is collinear with A^-1 f (sine of the angle), each up to
+    CERTIFICATE_RTOL relative.  Raises ValueError when <l|A^-1 f>
+    overflows.
     """
-    _check_dims(a_inv.dim, p.dim)
     _check_dims(a_inv.dim, v0.dim)
     if v0.norm() == 0.0:
         raise ValueError("v0 must be nonzero")
+    u, l_u = _pairing(a_inv, p)
 
-    pairing_ok = abs(pair(p.l, v0)) > tol * max(1.0, p.l.norm() * v0.norm())
-
-    u = a_inv.apply(p.f.entries)
-    l_u = complex(np.dot(p.l.weights, u))
-    denominator_ok = abs(1.0 - l_u) <= tol * (1.0 + abs(l_u))
+    pairing_ok = abs(pair(p.l, v0)) > CERTIFICATE_RTOL * max(1.0, p.l.norm() * v0.norm())
+    denominator_ok = abs(1.0 - l_u) <= CERTIFICATE_RTOL * (1.0 + abs(l_u))
 
     nu, nv = float(np.linalg.norm(u)), v0.norm()
     if nu == 0.0:
         return False
     # Sine of the angle from the residual of projecting v0 on u:
-    # sqrt(1 - cos^2) would have a rounding floor near 1.5e-8, above the default tol.
+    # sqrt(1 - cos^2) would have a rounding floor near 1.5e-8, above CERTIFICATE_RTOL.
     projection = u * (np.vdot(u, v0.entries) / nu**2)
-    collinear_ok = np.linalg.norm(v0.entries - projection) / nv <= tol
+    collinear_ok = np.linalg.norm(v0.entries - projection) / nv <= CERTIFICATE_RTOL
 
     return bool(pairing_ok and denominator_ok and collinear_ok)

@@ -23,7 +23,7 @@ from .core import (
     Vector,
     _check_dims,
 )
-from .krein import EigenvalueHitError, ResolventDifference, default_tol
+from .krein import ResolventDifference, _difference
 
 ADMISSIBILITY_RTOL = 1e-12
 RANK_TOL = 1e-10
@@ -61,7 +61,7 @@ def _test_vector(dim: int) -> np.ndarray:
     return np.sqrt(np.arange(2.0, dim + 2.0))
 
 
-def choose_probe(d: Operator, tol: float = ADMISSIBILITY_RTOL) -> Probe:
+def choose_probe(d: Operator) -> Probe:
     """Coordinate probe (e_i, e_j) at the largest entry |D_ji|, from two actions of D.
 
     j is the largest entry of |D g| for the fixed :func:`_test_vector` g,
@@ -74,7 +74,7 @@ def choose_probe(d: Operator, tol: float = ADMISSIBILITY_RTOL) -> Probe:
     d_g = np.abs(d.apply(_test_vector(d.dim)))
     j = int(d_g.argmax())
     max_abs = float(d_g[j])
-    if max_abs <= tol * max_abs:
+    if max_abs <= ADMISSIBILITY_RTOL * max_abs:
         raise ZeroDifferenceError("difference operator is numerically zero")
     l0 = Functional.basis(j, d.dim)
     row = d.apply_left(l0.weights)
@@ -110,7 +110,7 @@ def _require_admissible(
     return d_max
 
 
-def recover_factors(d: Operator, probe: Probe, check_rank: bool = True) -> RankOneForm:
+def recover_factors(d: Operator, probe: Probe) -> RankOneForm:
     """Factor D = |f1><l1| from its action on the probe pair.
 
     Refuses when D is not rank one: the identities require exact rank one
@@ -129,17 +129,16 @@ def recover_factors(d: Operator, probe: Probe, check_rank: bool = True) -> RankO
     l1 = d.apply_left(probe.l0.weights)
     d_max = _require_admissible(d, probe, d_f0, l1)
     f1 = d_f0 * complex(1.0 / probe.pairing)
-    if check_rank:
-        if isinstance(d, DenseOperator):
-            residual = np.outer(f1, l1)
-            residual -= d.matrix
-            bound = RANK_TOL * d_max
-        else:
-            g = _test_vector(d.dim)
-            residual = d.apply(g) - f1 * (l1 @ g)
-            bound = RANK_TOL * d_max * float(np.sum(np.abs(g)))
-        if np.max(np.abs(residual)) > bound:
-            raise NotRankOneError("difference operator has rank > 1")
+    if isinstance(d, DenseOperator):
+        residual = np.outer(f1, l1)
+        residual -= d.matrix
+        bound = RANK_TOL * d_max
+    else:
+        g = _test_vector(d.dim)
+        residual = d.apply(g) - f1 * (l1 @ g)
+        bound = RANK_TOL * d_max * float(np.sum(np.abs(g)))
+    if np.max(np.abs(residual)) > bound:
+        raise NotRankOneError("difference operator has rank > 1")
     return RankOneForm(f=Vector(f1), l=Functional(l1))
 
 
@@ -153,35 +152,18 @@ def bilinear_value(d: Operator, s: Operator, probe: Probe) -> complex:
 
 
 def resolvent_difference_factor_free(
-    r1: Operator,
-    z: complex,
-    d: Operator,
-    probe: Probe,
-    tol: float | None = None,
+    r1: Operator, z: complex, d: Operator, probe: Probe
 ) -> ResolventDifference:
     """Krein difference using D directly in place of its factors.
 
-    The denominator 1 + z <l|(-I + z R1) f> is evaluated through the
-    probe quotient with S = -I + z R1; the returned factors span the
-    same rank-one operator as the factor-based path.  S is only ever
-    applied to D f0 and l0 D, so the cost is a handful of actions: O(n)
-    on the tridiagonal testbed.
+    Runs the body of :func:`krein.resolvent_difference` on f = D f0 and
+    l = l0 D with the probe pairing <l0|D f0> as its scale, which is the
+    factorization f1 = D f0 / <l0|D f0>, l1 = l0 D; the returned factors
+    span the same rank-one operator as the factor-based path.  R1 is only
+    ever applied to D f0 and l0 D, so the cost is a handful of actions:
+    O(n) on the tridiagonal testbed.
     """
-    z = complex(z)
     d_f0 = d.apply(probe.f0.entries)
     l0_d = d.apply_left(probe.l0.weights)
     _require_admissible(d, probe, d_f0, l0_d)
-    s_d_f0 = r1.apply(d_f0) * z - d_f0
-    den = 1.0 + z * complex(np.dot(l0_d, s_d_f0)) / probe.pairing
-    if tol is None:
-        # f = D f0 / pairing, l = l0 D and (-I + z R1) f = s_d_f0 / pairing.
-        f_norm = float(np.linalg.norm(d_f0)) / abs(probe.pairing)
-        deflected_norm = float(np.linalg.norm(s_d_f0)) / abs(probe.pairing)
-        tol = default_tol(z, f_norm, float(np.linalg.norm(l0_d)), deflected_norm)
-    if abs(den) <= tol:
-        raise EigenvalueHitError(
-            f"denominator {den:.3e} vanishes at z={z}: z is a new eigenvalue"
-        )
-    left = s_d_f0 * complex(1.0 / probe.pairing)
-    right = r1.apply_left(l0_d) * z - l0_d
-    return ResolventDifference(left=Vector(left), right=Functional(right), denominator=den)
+    return _difference(r1, complex(z), d_f0, l0_d, probe.pairing)

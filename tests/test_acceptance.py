@@ -49,8 +49,9 @@ def test_criterion_01_static_kernel_difference():
 def test_criterion_02_exact_rank_one():
     worst = 0.0
     for n in (200, 500, 1000):
-        diff = discretize.inverse_difference(discretize.build_pair(n))
-        sigma = np.linalg.svd(diff.matrix, compute_uv=False)
+        matrix = discretize.inverse_difference(discretize.build_pair(n)).matrix
+        assert not matrix.imag.any()  # the real SVD below sees all of D
+        sigma = np.linalg.svd(matrix.real, compute_uv=False)
         worst = max(worst, float(sigma[1] / sigma[0]))
     _criterion(2, "exact-rank-one", worst <= 1e-10, f"max sigma2/sigma1={worst:.3e}")
 

@@ -55,6 +55,11 @@ def test_greens_pole_exits_two():
     assert code == 2
 
 
+def test_greens_rejects_unknown_kernel():
+    code, _ = run_cli(["greens", "--which", "nn", "--grid-m", "2"])
+    assert code == 3
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -317,17 +322,6 @@ def test_recover_smallest_pair():
     assert code == 0
     table = {r[0]: float(r[1]) for r in parse_csv(out)[1]}
     assert table["reconstruction_residual"] <= 1e-12
-
-
-# ------------------------------------------------------------------ verify
-
-
-def test_verify_passes_and_lists_invariants():
-    code, out = run_cli(["verify"])
-    assert code == 0
-    _, rows = parse_csv(out)
-    assert len(rows) >= 12
-    assert all(r[1] == "1" for r in rows)
 
 
 # ------------------------------------------------------------- determinism

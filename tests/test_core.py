@@ -104,7 +104,7 @@ def test_rank_estimate_outer_is_one():
 
 
 def test_rank_estimate_zero_matrix():
-    assert rank_estimate(DenseOperator.zero(3), 1e-10) == 0
+    assert rank_estimate(DenseOperator(np.zeros((3, 3))), 1e-10) == 0
 
 
 def test_rank_estimate_identity():

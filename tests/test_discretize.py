@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rankone import discretize, laplace, probing
-from rankone.core import DenseOperator, Functional, RankOneForm, Vector, invert, rank_estimate
+from rankone.core import Functional, RankOneForm, Vector, invert, rank_estimate
 from rankone.discretize import (
     CLEARANCE,
     RCOND_TOL,
@@ -137,13 +137,6 @@ def test_resolvent_rejects_spectrum_hit():
 def test_resolvent_rejects_non_finite_z(z):
     with pytest.raises(ValueError, match="not finite"):
         resolvent(build_pair(5).t_dd, z)
-
-
-def test_resolvent_rejects_non_tridiagonal_operator():
-    t = build_pair(6).t_dd.matrix.copy()
-    t[0, 2] = 1.0
-    with pytest.raises(ValueError):
-        resolvent(DenseOperator(t), 1.0)
 
 
 @pytest.mark.parametrize("n", [2, 50])
@@ -276,7 +269,6 @@ def test_tridiagonal_actions_match_dense_matrix(n):
         oracle = t.matrix
         _assert_actions_match(t, oracle)
         assert t.norm_max() == np.abs(oracle).max()
-        assert_allclose(Tridiagonal.from_dense(DenseOperator(oracle)).matrix, oracle)
 
 
 @pytest.mark.parametrize("n", [2, 3, 50])

@@ -12,13 +12,10 @@ from hypothesis import strategies as st
 from rankone import laplace
 from rankone.krein import SpectralPoint
 from rankone.laplace import (
-    KERNEL_KINDS,
-    AnalyticKernel,
     DirichletPoleError,
     KernelPoint,
     NeumannPoleError,
     PoleError,
-    analytic_kernel,
     deflected_ramp,
     dn_eigenvalues,
     green_dd_spectral,
@@ -501,38 +498,21 @@ def test_spectral_formulas_even_in_k():
             assert abs(a - b) <= 1e-14 * max(1.0, abs(a))
 
 
-# --------------------------------------------------------------- kernel factory
+# ------------------------------------------------------------- kernel functions
 
 
-def test_kernel_factory_all_kinds():
-    pt = KernelPoint(0.25, 0.6)
-    s = s_from(1.5)
-    for kind in KERNEL_KINDS:
-        kernel = analytic_kernel(kind)
-        assert isinstance(kernel, AnalyticKernel)
-        value = kernel(pt) if kind.endswith("-static") else kernel(pt, s)
-        assert np.isfinite(value)
+STATIC_KERNELS = (green_dd_static, green_dn_static, static_difference)
+SPECTRAL_KERNELS = (green_dd_spectral, green_dn_spectral, spectral_difference)
 
 
-def test_kernel_factory_invariants():
-    s = s_from(2.3)
-    for kind in KERNEL_KINDS:
-        kernel = analytic_kernel(kind)
-        needs_s = kind.endswith("-spectral")
-        # vanishes on the left boundary
-        assert abs(kernel(KernelPoint(0.0, 0.4), s if needs_s else None)) <= 1e-15
-        # symmetric on a sampled grid
-        for x, xi in ((0.2, 0.9), (0.5, 0.35)):
-            a = kernel(KernelPoint(x, xi), s if needs_s else None)
-            b = kernel(KernelPoint(xi, x), s if needs_s else None)
-            assert a == pytest.approx(b, abs=1e-14)
+@pytest.mark.parametrize("kernel", STATIC_KERNELS + SPECTRAL_KERNELS, ids=lambda kernel: kernel.__name__)
+def test_kernel_finite_vanishing_at_left_boundary_and_symmetric(kernel):
+    spectral_point = (s_from(2.3),) if kernel in SPECTRAL_KERNELS else ()
 
+    def at(x, xi):
+        return kernel(KernelPoint(x, xi), *spectral_point)
 
-def test_kernel_factory_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        analytic_kernel("nn-static")
-
-
-def test_spectral_kernel_requires_spectral_point():
-    with pytest.raises(ValueError):
-        analytic_kernel("dd-spectral")(KernelPoint(0.5, 0.5))
+    assert np.isfinite(at(0.25, 0.6))
+    assert abs(at(0.0, 0.4)) <= 1e-15
+    for x, xi in ((0.2, 0.9), (0.5, 0.35)):
+        assert at(x, xi) == pytest.approx(at(xi, x), abs=1e-14)

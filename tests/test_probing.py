@@ -32,7 +32,7 @@ def test_choose_probe_picks_largest_entry():
 
 def test_choose_probe_rejects_zero_difference():
     with pytest.raises(ZeroDifferenceError):
-        choose_probe(DenseOperator.zero(3))
+        choose_probe(DenseOperator(np.zeros((3, 3))))
 
 
 def test_choose_probe_single_nonzero_entry():
@@ -132,7 +132,7 @@ def test_bilinear_value_identity_weight():
 
 def test_bilinear_value_zero_weight():
     probe = coordinate_probe(D_EXAMPLE, 0, 0)
-    assert bilinear_value(D_EXAMPLE, DenseOperator.zero(2), probe) == 0
+    assert bilinear_value(D_EXAMPLE, DenseOperator(np.zeros((2, 2))), probe) == 0
 
 
 def test_bilinear_value_matches_direct_pairing():
