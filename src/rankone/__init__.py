@@ -17,7 +17,6 @@ from .core import (
     invert,
     outer,
     pair,
-    rank_estimate,
 )
 from .perturbed_inverse import (
     RegularInverse,
@@ -43,7 +42,6 @@ from .krein import (
     SpectralPoint,
     deflect,
     find_new_eigenvalues,
-    krein_denominator,
     resolvent_difference,
 )
 from .discretize import (
@@ -89,12 +87,10 @@ __all__ = [
     "find_new_eigenvalues",
     "invert",
     "inverse_difference",
-    "krein_denominator",
     "null_space_certificate",
     "outer",
     "pair",
     "perturbed_inverse",
-    "rank_estimate",
     "recover_factors",
     "resolvent",
     "resolvent_difference",

@@ -82,9 +82,6 @@ class _Coordinates:
         _check_dims(self.dim, other.dim)
         return type(self)(self._array - other._array)
 
-    def __neg__(self):
-        return type(self)(-self._array)
-
     def __mul__(self, scalar):
         return type(self)(self._array * complex(scalar))
 
@@ -104,10 +101,6 @@ class Vector(_Coordinates):
     entries: np.ndarray
     _FIELD = "entries"
 
-    @staticmethod
-    def zero(dim: int) -> "Vector":
-        return Vector(np.zeros(dim, dtype=complex))
-
 
 @dataclass(frozen=True)
 class Functional(_Coordinates):
@@ -115,9 +108,6 @@ class Functional(_Coordinates):
 
     weights: np.ndarray
     _FIELD = "weights"
-
-    def __call__(self, f: Vector) -> complex:
-        return pair(self, f)
 
     def __matmul__(self, op: "Operator") -> "Functional":
         """Composition self . op, a new row l(A .)."""
@@ -224,9 +214,6 @@ class DenseOperator(Operator):
         _check_dims(self.dim, other.dim)
         return DenseOperator(self.matrix - other.matrix)
 
-    def __neg__(self) -> "DenseOperator":
-        return DenseOperator(-self.matrix)
-
     def __mul__(self, scalar) -> "DenseOperator":
         return DenseOperator(self.matrix * complex(scalar))
 
@@ -297,14 +284,3 @@ def invert(a: Operator) -> DenseOperator:
         )
     inv, _ = lapack.zgetrs(lu, piv, np.eye(a.dim, dtype=complex))
     return DenseOperator(inv)
-
-
-def rank_estimate(m: Operator, tol: float) -> int:
-    """Number of singular values above tol * sigma_max; 0 for the zero matrix."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    sigma = np.linalg.svd(m.matrix, compute_uv=False)
-    smax = sigma[0] if sigma.size else 0.0
-    if smax == 0.0:
-        return 0
-    return int(np.count_nonzero(sigma > tol * smax))

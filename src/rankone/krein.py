@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import DenseOperator, Functional, Operator, RankOneForm, Vector, pair
+from .core import DenseOperator, Functional, Operator, RankOneForm, Vector
 
 # Each pole interval (a, b) is read at its ends moved inward by
 # NUDGE_RTOL * max(|a|, |b|); a root closer to a pole is not seen.  Relative
@@ -74,6 +74,10 @@ class ResolventDifference:
     right: Functional
     denominator: complex
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """-left <right|x> / denominator from the factors, for a vector x or each column of a block x."""
+        return np.multiply.outer(self.left.entries, self.right.weights @ x) / -self.denominator
+
     def materialize(self) -> DenseOperator:
         scale = complex(-1.0 / self.denominator)
         return DenseOperator(np.outer(self.left.entries, self.right.weights) * scale)
@@ -96,11 +100,6 @@ class EigenPair:
 def deflect(r1: Operator, z: complex, f: Vector) -> Vector:
     """Apply (-I + z R1) to f."""
     return Vector(-f.entries + r1.apply(f.entries) * complex(z))
-
-
-def krein_denominator(r1: Operator, z: complex, p: RankOneForm) -> complex:
-    """The scalar 1 + z <l|(-I + z R1) f>."""
-    return 1.0 + complex(z) * pair(p.l, deflect(r1, z, p.f))
 
 
 def default_tol(z: complex, f_norm: float, l_norm: float, deflected_norm: float) -> float:

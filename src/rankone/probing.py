@@ -11,6 +11,7 @@ and bilinear values <l|S f> follow from the quotient
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ RANK_TOL = 1e-10
 
 
 class ZeroDifferenceError(ValueError):
-    """The difference operator is numerically zero; nothing to factor."""
+    """The difference operator is zero; nothing to factor."""
 
 
 class InadmissibleProbeError(ValueError):
@@ -69,13 +70,17 @@ def choose_probe(d: Operator) -> Probe:
     the largest |f_j| and |l_i| (provided <l|g> != 0), so the pair is the
     largest entry of D, with ties broken toward the smallest (j, i) in
     lexicographic order.  The maximal entry optimizes the conditioning of
-    the recovery quotients.
+    the recovery quotients.  Raises :class:`ZeroDifferenceError` when D g
+    is exactly zero, and ValueError when it overflowed.
     """
-    d_g = np.abs(d.apply(_test_vector(d.dim)))
-    j = int(d_g.argmax())
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite D g is refused below
+        d_g = np.abs(d.apply(_test_vector(d.dim)))
+    j = int(d_g.argmax())  # the first NaN, if any
     max_abs = float(d_g[j])
-    if max_abs <= ADMISSIBILITY_RTOL * max_abs:
-        raise ZeroDifferenceError("difference operator is numerically zero")
+    if not math.isfinite(max_abs):
+        raise ValueError(f"|D g| = {max_abs} is out of floating-point range")
+    if max_abs == 0.0:
+        raise ZeroDifferenceError("difference operator is zero")
     l0 = Functional.basis(j, d.dim)
     row = d.apply_left(l0.weights)
     i = int(np.abs(row).argmax())

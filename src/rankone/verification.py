@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import discretize, krein, laplace, probing
-from .core import DenseOperator, Functional, Operator, RankOneForm, Vector, invert, outer, pair, rank_estimate
+from .core import DenseOperator, Functional, Operator, RankOneForm, Vector, invert, outer, pair
 from .perturbed_inverse import RegularInverse, SingularInverse, denominator, perturbed_inverse, solve_perturbed
 from .krein import SpectralPoint
 
@@ -100,7 +100,7 @@ def check_outer_rank_bound(seed: int) -> InvariantResult:
     for dim in (2, 7, 16):
         f = random_vector(rng, dim)
         l = random_functional(rng, dim)
-        worst = max(worst, rank_estimate(outer(f, l), 1e-10))
+        worst = max(worst, sketch_rank(outer(f, l), 1e-10, rng))
     return InvariantResult("outer-rank-bound", worst <= 1, float(worst), 1.0)
 
 
@@ -404,23 +404,38 @@ def check_dn_boundary_condition(seed: int) -> InvariantResult:
 # ------------------------------------------------------------- discretize oracle
 
 
+def range_finder(d: Operator, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Q spanning d Omega for SKETCH_RANK Gaussian probes Omega, and the singular values of Q* d.
+
+    2 SKETCH_RANK actions of d; ``d.matrix`` is never formed.  When d has
+    rank at most SKETCH_RANK, those are its singular values up to rounding.
+    """
+    y = np.column_stack([d.apply(g) for g in rng.standard_normal((SKETCH_RANK, d.dim))])
+    q, _ = np.linalg.qr(y)
+    return q, np.linalg.svd(np.array([d.apply_left(c) for c in q.conj().T]), compute_uv=False)
+
+
+def sketch_rank(d: Operator, tol: float, rng: np.random.Generator) -> int:
+    """How many :func:`range_finder` singular values exceed tol times the largest; at most SKETCH_RANK."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    sigma = range_finder(d, rng)[1]
+    return int(np.count_nonzero(sigma > tol * sigma[0]))
+
+
 def rank_one_measure(d: Operator, rng: np.random.Generator) -> float:
     """Upper estimate of sigma_2/sigma_1 of d from its actions; ``d.matrix`` is never formed.
 
-    The range finder of the module docstring, with Q spanning d Omega for
-    SKETCH_RANK Gaussian probes.  By Weyl, sigma_2(d) <= sigma_2(Q* d) +
-    |(I - QQ*) d|, and the second term is at most the a-posteriori bound
-    over TEST_PROBES fresh probes with probability 1 - 10^-TEST_PROBES.
-    The sketch alone underestimates sigma_2.  sigma_1(Q* d) <= sigma_1(d),
-    so the quotient errs high.
+    The range finder of the module docstring, :func:`range_finder`.  By
+    Weyl, sigma_2(d) <= sigma_2(Q* d) + |(I - QQ*) d|, and the second term
+    is at most the a-posteriori bound over TEST_PROBES fresh probes with
+    probability 1 - 10^-TEST_PROBES.  The sketch alone underestimates
+    sigma_2.  sigma_1(Q* d) <= sigma_1(d), so the quotient errs high.
     """
-    n = d.dim
-    y = np.column_stack([d.apply(g) for g in rng.standard_normal((SKETCH_RANK, n))])
-    q, _ = np.linalg.qr(y)
-    sigma = np.linalg.svd(np.array([d.apply_left(c) for c in q.conj().T]), compute_uv=False)
+    q, sigma = range_finder(d, rng)
     residual = max(
         float(np.linalg.norm(dg - q @ (q.conj().T @ dg)))
-        for dg in (d.apply(g) for g in rng.standard_normal((TEST_PROBES, n)))
+        for dg in (d.apply(g) for g in rng.standard_normal((TEST_PROBES, d.dim)))
     )
     return float((sigma[1] + 10.0 * np.sqrt(2.0 / np.pi) * residual) / sigma[0])
 

@@ -35,6 +35,15 @@ def test_choose_probe_rejects_zero_difference():
         choose_probe(DenseOperator(np.zeros((3, 3))))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_choose_probe_refuses_overflowed_action_as_out_of_range():
+    # Every entry of D = |f><l| is 1e308, finite, but D g overflows.
+    d = outer(Vector([1e154, 1e154]), Functional([1e154, 1e154]))
+    with pytest.raises(ValueError, match="out of floating-point range") as info:
+        choose_probe(d)
+    assert not isinstance(info.value, ZeroDifferenceError)
+
+
 def test_choose_probe_single_nonzero_entry():
     d = outer(Vector([1, 0]), Functional([0, 1]))  # only D[0,1] = 1
     probe = choose_probe(d)
