@@ -39,11 +39,11 @@ from .krein import (
     EigenPair,
     EigenvalueHitError,
     ResolventDifference,
-    SpectralPoint,
     deflect,
     find_new_eigenvalues,
     resolvent_difference,
 )
+from .laplace import SpectralPoint
 from .discretize import (
     DiscretePair,
     Grid,

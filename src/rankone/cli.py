@@ -31,7 +31,8 @@ from .core import (
     Vector,
     invert,
 )
-from .krein import EigenvalueHitError, SpectralPoint
+from .krein import EigenvalueHitError
+from .laplace import SpectralPoint
 from .perturbed_inverse import RegularInverse, perturbed_inverse, solve_perturbed
 
 EXIT_OK = 0
@@ -121,13 +122,16 @@ def cmd_greens(args) -> OutputRecord:
     static, spectral = _GREENS_KERNELS[args.which]
     if args.z is not None:
         params["z"] = [args.z.real, args.z.imag]
-        kernel, kernel_args = spectral, (SpectralPoint.from_z(args.z),)
-    else:
-        params["z"] = None
-        kernel, kernel_args = static, ()
-    record = OutputRecord("greens", params, ["x", "xi", "re", "im"])
-    for x in _grid_values(args.grid_m):
-        for xi in _grid_values(args.grid_m):
+        return _kernel_table("greens", params, spectral, SpectralPoint.from_z(args.z))
+    params["z"] = None
+    return _kernel_table("greens", params, static)
+
+
+def _kernel_table(command: str, params: dict, kernel, *kernel_args) -> OutputRecord:
+    """kernel(KernelPoint(x, xi), *kernel_args) on the grid_m x grid_m grid, one row per point."""
+    record = OutputRecord(command, params, ["x", "xi", "re", "im"])
+    for x in _grid_values(params["grid_m"]):
+        for xi in _grid_values(params["grid_m"]):
             value = kernel(laplace.KernelPoint(float(x), float(xi)), *kernel_args)
             record.rows.append((float(x), float(xi), value.real, value.imag))
     return record
@@ -169,13 +173,8 @@ def cmd_resolvent_diff(args) -> OutputRecord:
         "grid_m": args.grid_m,
     }
     if args.source == "analytic":
-        record = OutputRecord("resolvent-diff", params, ["x", "xi", "re", "im"])
         s = SpectralPoint.from_z(args.z)
-        for x in _grid_values(args.grid_m):
-            for xi in _grid_values(args.grid_m):
-                value = laplace.spectral_difference(laplace.KernelPoint(float(x), float(xi)), s)
-                record.rows.append((float(x), float(xi), value.real, value.imag))
-        return record
+        return _kernel_table("resolvent-diff", params, laplace.spectral_difference, s)
 
     if args.n is None:
         raise InputError("--n is required for source 'discrete'")

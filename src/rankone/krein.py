@@ -27,6 +27,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import DenseOperator, Functional, Operator, RankOneForm, Vector
+# Unused here; kept importable from this module because bench/workloads.py imports it so.
+from .laplace import SpectralPoint
 
 # Each pole interval (a, b) is read at its ends moved inward by
 # NUDGE_RTOL * max(|a|, |b|); a root closer to a pole is not seen.  Relative
@@ -39,28 +41,6 @@ _EPS = float(np.finfo(float).eps)
 
 class EigenvalueHitError(ArithmeticError):
     """z is an eigenvalue of the perturbed operator; the difference is undefined."""
-
-
-@dataclass(frozen=True)
-class SpectralPoint:
-    """Spectral parameter z together with k, the principal root of k^2 = z."""
-
-    z: complex
-    k: complex
-
-    def __post_init__(self):
-        if abs(self.k * self.k - self.z) > 1e-12 * (1.0 + abs(self.z)):
-            raise ValueError("k**2 must equal z")
-
-    @classmethod
-    def from_z(cls, z: complex) -> "SpectralPoint":
-        k = cmath.sqrt(z)
-        return cls(z=k * k, k=k)
-
-    @classmethod
-    def from_k(cls, k: complex) -> "SpectralPoint":
-        k = complex(k)
-        return cls(z=k * k, k=k)
 
 
 @dataclass(frozen=True)
@@ -85,16 +65,10 @@ class ResolventDifference:
 
 @dataclass(frozen=True)
 class EigenPair:
-    """A located eigenvalue with its deflected eigenfunction.
-
-    ``residual`` is ||T2 v - z v|| / ||v|| when T2 was supplied to the
-    search, NaN otherwise.
-    """
+    """A located eigenvalue z with k, the principal root of k^2 = z."""
 
     z: complex
     k: complex
-    eigenfunction: Vector | None
-    residual: float
 
 
 def deflect(r1: Operator, z: complex, f: Vector) -> Vector:
@@ -158,8 +132,6 @@ def find_new_eigenvalues(
     interval: tuple[float, float],
     max_count: int,
     exclusions: Sequence[float],
-    eigenfunction_fn: Callable[[complex], Vector] | None = None,
-    t2: Operator | None = None,
 ) -> list[EigenPair]:
     """Real roots of the scalar denominator on a finite interval.
 
@@ -178,11 +150,8 @@ def find_new_eigenvalues(
     BISECTION_RTOL * max(1, |midpoint|): each step takes inverse quadratic
     interpolation through the last three points when they fit it and
     bisects otherwise.  The root returned is the end of that last bracket
-    where |h| is smaller.  Roots are paired with
-    ``eigenfunction_fn(z_n)`` when that callback is given, and with the
-    eigen-residual against ``t2`` when that operator is given.  Emits a
-    RuntimeWarning and truncates when more than ``max_count`` roots are
-    found.
+    where |h| is smaller.  Emits a RuntimeWarning and truncates when more
+    than ``max_count`` roots are found.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
@@ -204,16 +173,7 @@ def find_new_eigenvalues(
             break
         roots.append(root)
 
-    pairs = []
-    for z_n in roots:
-        vec = eigenfunction_fn(z_n) if eigenfunction_fn is not None else None
-        residual = float("nan")
-        if vec is not None and t2 is not None:
-            residual = (t2 @ vec - z_n * vec).norm() / vec.norm()
-        pairs.append(
-            EigenPair(z=complex(z_n), k=cmath.sqrt(complex(z_n)), eigenfunction=vec, residual=residual)
-        )
-    return pairs
+    return [EigenPair(z=complex(z_n), k=cmath.sqrt(complex(z_n))) for z_n in roots]
 
 
 def _interval_root(denominator_fn: Callable[[complex], complex], a: float, b: float) -> float | None:

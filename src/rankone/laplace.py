@@ -12,24 +12,20 @@ expressions subtract terms of order 1/k^2 and would lose most digits
 there.  z = 0 returns the exact continuity limits (the resolvent at
 zero is the negated inverse).
 
-The spectral kernels share a z-only denominator, k sin k for dd and
-k sin k cos k for the difference, with its pole checks.  Each is kept
-in a one-entry memo keyed by the identity of the SpectralPoint, so a
-grid of kernel values at one point pays for sin k and cos k once.  The
-key is the object, not its value: points that compare equal can differ
-in the sign of a zero part (z = 4+0j and z = complex(4, -0.0) give
-k = 2+0j and k = 2-0j), and that sign reaches the result.  The memo
-holds a reference to its point, so the identity cannot be reused by
-another object while it is stored.  A pole raises and stores nothing,
-so it raises again on every call.
+A SpectralPoint computes sin k and cos k once, when it is built, and
+decides both poles there; every spectral formula reads them from the
+point, so a grid of kernel values at one point pays for them once.
+Each kernel divides before it multiplies: a ratio such as
+sin(k a)/sin(k) with a <= 1 stays bounded away from the poles, so no
+intermediate overflows below |Im k| ~ 710, where sin k itself does and
+building the point raises OverflowError.
 """
 
 from __future__ import annotations
 
 import cmath
 from collections import namedtuple
-
-from .krein import SpectralPoint
+from dataclasses import dataclass, field
 
 # Taylor branch below this |k|; direct evaluation above it.
 SMALL_K = 1e-4
@@ -48,6 +44,44 @@ class NeumannPoleError(PoleError):
     """cos(k) vanishes: z is an eigenvalue of the Dirichlet-Neumann operator."""
 
 
+@dataclass(frozen=True)
+class SpectralPoint:
+    """Spectral parameter z with k, the principal root of k^2 = z, and sin k, cos k.
+
+    ``dd_pole`` (sin k vanishes) and ``dn_pole`` (cos k vanishes) are
+    decided here, each by |.| < POLE_RTOL * max(1, |k|).  Building a
+    point raises OverflowError above |Im k| ~ 710, where sin k overflows.
+    """
+
+    z: complex
+    k: complex
+    sin_k: complex = field(init=False, repr=False, compare=False)
+    cos_k: complex = field(init=False, repr=False, compare=False)
+    dd_pole: bool = field(init=False, repr=False, compare=False)
+    dn_pole: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        k = self.k
+        if abs(k * k - self.z) > 1e-12 * (1.0 + abs(self.z)):
+            raise ValueError("k**2 must equal z")
+        sin_k, cos_k = cmath.sin(k), cmath.cos(k)
+        band = POLE_RTOL * max(1.0, abs(k))
+        object.__setattr__(self, "sin_k", sin_k)
+        object.__setattr__(self, "cos_k", cos_k)
+        object.__setattr__(self, "dd_pole", abs(sin_k) < band)
+        object.__setattr__(self, "dn_pole", abs(cos_k) < band)
+
+    @classmethod
+    def from_z(cls, z: complex) -> "SpectralPoint":
+        k = cmath.sqrt(z)
+        return cls(z=k * k, k=k)
+
+    @classmethod
+    def from_k(cls, k: complex) -> "SpectralPoint":
+        k = complex(k)
+        return cls(z=k * k, k=k)
+
+
 class KernelPoint(namedtuple("KernelPoint", "x xi")):
     """Argument pair (x, xi) of a kernel on the unit square."""
 
@@ -62,47 +96,6 @@ class KernelPoint(namedtuple("KernelPoint", "x xi")):
     def _make(cls, iterable):
         # namedtuple's _make (and _replace, which calls it) skips __new__.
         return cls(*iterable)
-
-
-def _check_dd_pole(k: complex) -> complex:
-    """sin(k); raises DirichletPoleError where it vanishes."""
-    sin_k = cmath.sin(k)
-    if abs(sin_k) < POLE_RTOL * max(1.0, abs(k)):
-        raise DirichletPoleError(f"sin(k) vanishes at k={k}")
-    return sin_k
-
-
-# One-entry memos (point, value), matched by identity: see the module docstring.
-_k_sin_k_memo: tuple = (None, None)
-_k_sin_k_cos_k_memo: tuple = (None, None)
-
-
-def _k_sin_k(s: SpectralPoint) -> complex:
-    """k sin(k) at s, pole-checked; the dd kernel's denominator."""
-    global _k_sin_k_memo
-    memo = _k_sin_k_memo
-    if memo[0] is s:
-        return memo[1]
-    k = s.k
-    value = k * _check_dd_pole(k)
-    _k_sin_k_memo = (s, value)
-    return value
-
-
-def _k_sin_k_cos_k(s: SpectralPoint) -> complex:
-    """k sin(k) cos(k) at s, pole-checked; the difference kernel's denominator."""
-    global _k_sin_k_cos_k_memo
-    memo = _k_sin_k_cos_k_memo
-    if memo[0] is s:
-        return memo[1]
-    k = s.k
-    k_sin_k = _k_sin_k(s)
-    cos_k = cmath.cos(k)
-    if abs(cos_k) < POLE_RTOL * max(1.0, abs(k)):
-        raise NeumannPoleError(f"cos(k) vanishes at k={k}")
-    value = k_sin_k * cos_k
-    _k_sin_k_cos_k_memo = (s, value)
-    return value
 
 
 def green_dd_static(pt: KernelPoint) -> float:
@@ -123,7 +116,7 @@ def static_difference(pt: KernelPoint) -> float:
 
 
 def green_dd_spectral(pt: KernelPoint, s: SpectralPoint) -> complex:
-    """Kernel of (z - T_dd)^-1: -sin(k a) sin(k b) / (k sin k), a=min, b=1-max."""
+    """Kernel of (z - T_dd)^-1: -(sin(k a) / sin k) (sin(k b) / k), a=min, b=1-max."""
     x, xi = pt
     a, b = (x, 1.0 - xi) if x <= xi else (xi, 1.0 - x)
     if s.z == 0:
@@ -131,8 +124,9 @@ def green_dd_spectral(pt: KernelPoint, s: SpectralPoint) -> complex:
     k = s.k
     if abs(k) < SMALL_K:
         return -a * b * (1.0 + s.z * (1.0 - a * a - b * b) / 6.0)
-    denominator = _k_sin_k(s)
-    return -cmath.sin(k * a) * cmath.sin(k * b) / denominator
+    if s.dd_pole:
+        raise DirichletPoleError(f"sin(k) vanishes at k={k}")
+    return -(cmath.sin(k * a) / s.sin_k) * (cmath.sin(k * b) / k)
 
 
 def ramp_response(x: float, s: SpectralPoint) -> complex:
@@ -145,8 +139,9 @@ def ramp_response(x: float, s: SpectralPoint) -> complex:
     k, z = s.k, s.z
     if abs(k) < SMALL_K:
         return -x * z * ((1.0 - x * x) / 6.0 + z * (7.0 / 360.0 - x * x / 36.0 + x**4 / 120.0))
-    sin_k = _check_dd_pole(k)
-    return x - cmath.sin(k * x) / sin_k
+    if s.dd_pole:
+        raise DirichletPoleError(f"sin(k) vanishes at k={k}")
+    return x - cmath.sin(k * x) / s.sin_k
 
 
 def deflected_ramp(x: float, s: SpectralPoint) -> complex:
@@ -156,8 +151,9 @@ def deflected_ramp(x: float, s: SpectralPoint) -> complex:
     k, z = s.k, s.z
     if abs(k) < SMALL_K:
         return -x * (1.0 + z * (1.0 - x * x) / 6.0 + z * z * (7.0 / 360.0 - x * x / 36.0 + x**4 / 120.0))
-    sin_k = _check_dd_pole(k)
-    return -cmath.sin(k * x) / sin_k
+    if s.dd_pole:
+        raise DirichletPoleError(f"sin(k) vanishes at k={k}")
+    return -cmath.sin(k * x) / s.sin_k
 
 
 def scalar_pairing(s: SpectralPoint) -> complex:
@@ -172,8 +168,9 @@ def scalar_pairing(s: SpectralPoint) -> complex:
     k, z = s.k, s.z
     if abs(k) < SMALL_K:
         return -1.0 / 3.0 - z / 45.0 - 2.0 * z * z / 945.0 - z**3 / 4725.0
-    sin_k = _check_dd_pole(k)
-    return cmath.cos(k) / (k * sin_k) - 1.0 / (k * k)
+    if s.dd_pole:
+        raise DirichletPoleError(f"sin(k) vanishes at k={k}")
+    return s.cos_k / (k * s.sin_k) - 1.0 / (k * k)
 
 
 def krein_denominator(s: SpectralPoint) -> complex:
@@ -183,42 +180,40 @@ def krein_denominator(s: SpectralPoint) -> complex:
     k, z = s.k, s.z
     if abs(k) < SMALL_K:
         return 1.0 - z / 3.0 - z * z / 45.0 - 2.0 * z**3 / 945.0 - z**4 / 4725.0
-    sin_k = _check_dd_pole(k)
-    return k * cmath.cos(k) / sin_k
+    if s.dd_pole:
+        raise DirichletPoleError(f"sin(k) vanishes at k={k}")
+    return k * s.cos_k / s.sin_k
 
 
 def spectral_difference(pt: KernelPoint, s: SpectralPoint) -> complex:
-    """Kernel of (z - T_dn)^-1 - (z - T_dd)^-1: -sin(kx) sin(k xi)/(k sin k cos k)."""
+    """Kernel of (z - T_dn)^-1 - (z - T_dd)^-1: -(sin(kx) / sin k) (sin(k xi) / cos k) / k."""
     if s.z == 0:
         return complex(-static_difference(pt))
     k, z = s.k, s.z
     x, xi = pt
     if abs(k) < SMALL_K:
         return -x * xi * (1.0 + z * (4.0 - x * x - xi * xi) / 6.0)
-    denominator = _k_sin_k_cos_k(s)
-    return -cmath.sin(k * x) * cmath.sin(k * xi) / denominator
+    if s.dd_pole:
+        raise DirichletPoleError(f"sin(k) vanishes at k={k}")
+    if s.dn_pole:
+        raise NeumannPoleError(f"cos(k) vanishes at k={k}")
+    return -(cmath.sin(k * x) / s.sin_k) * (cmath.sin(k * xi) / s.cos_k) / k
 
 
 def green_dn_spectral(pt: KernelPoint, s: SpectralPoint) -> complex:
-    """Kernel of (z - T_dn)^-1, defined as the dd kernel plus the difference.
+    """Kernel of (z - T_dn)^-1: -(sin(k a) / cos k) (cos(k b) / k), a=min, b=1-max.
 
-    Both terms are the expressions of green_dd_spectral and
-    spectral_difference, evaluated inline and summed in that order.
+    Defined at the eigenvalues of T_dd, where sin k vanishes.  At z = 0
+    and on the Taylor branch it is the dd kernel plus the difference.
     """
-    if s.z == 0:
-        return complex(-green_dd_static(pt)) + complex(-static_difference(pt))
-    k, z = s.k, s.z
+    k = s.k
+    if abs(k) < SMALL_K:
+        return green_dd_spectral(pt, s) + spectral_difference(pt, s)
+    if s.dn_pole:
+        raise NeumannPoleError(f"cos(k) vanishes at k={k}")
     x, xi = pt
     a, b = (x, 1.0 - xi) if x <= xi else (xi, 1.0 - x)
-    if abs(k) < SMALL_K:
-        dd = -a * b * (1.0 + z * (1.0 - a * a - b * b) / 6.0)
-        diff = -x * xi * (1.0 + z * (4.0 - x * x - xi * xi) / 6.0)
-        return dd + diff
-    dd_denominator = _k_sin_k(s)
-    dd = -cmath.sin(k * a) * cmath.sin(k * b) / dd_denominator
-    diff_denominator = _k_sin_k_cos_k(s)
-    diff = -cmath.sin(k * x) * cmath.sin(k * xi) / diff_denominator
-    return dd + diff
+    return -(cmath.sin(k * a) / s.cos_k) * (cmath.cos(k * b) / k)
 
 
 def dn_eigenvalues(count: int) -> list[SpectralPoint]:

@@ -1,3 +1,4 @@
+import cmath
 import csv
 import io
 import json
@@ -9,6 +10,7 @@ import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 import rankone
@@ -291,6 +293,41 @@ def test_perturb_pairing_overflow_prints_one_stderr_line_as_subprocess(tmp_path)
     )
     _assert_one_line_input_error(result.returncode, result.stdout, result.stderr)
     assert "out of floating-point range" in result.stderr
+
+
+def _mp_kernel(which, k, x, xi):
+    """Kernel of greens --which (diff also for resolvent-diff) at 30 digits."""
+    with mp.workdps(30):
+        k = mp.mpc(k)
+        a, b = min(x, xi), 1.0 - max(x, xi)
+        if which == "dd":
+            return complex(-mp.sin(k * a) * mp.sin(k * b) / (k * mp.sin(k)))
+        if which == "dn":
+            return complex(-mp.sin(k * a) * mp.cos(k * b) / (k * mp.cos(k)))
+        return complex(-mp.sin(k * x) * mp.sin(k * xi) / (k * mp.sin(k) * mp.cos(k)))
+
+
+@pytest.mark.parametrize(
+    "command, z, grid_m",
+    [
+        (["resolvent-diff", "--source", "analytic"], "-1.3e5", 2),
+        (["greens", "--which", "dn"], "-1.3e5", 2),
+        (["greens", "--which", "dd"], "-5e5", 3),
+        (["greens", "--which", "dd"], "0,1e6", 3),
+        # pi^2, an eigenvalue of T_dd but not of T_dn
+        (["greens", "--which", "dn"], "9.869604401089358", 3),
+    ],
+)
+def test_kernel_table_matches_mpmath_below_overflow(command, z, grid_m):
+    code, out = run_cli(command + [f"--z={z}", "--grid-m", str(grid_m)])
+    assert code == 0
+    which = command[-1] if command[0] == "greens" else "diff"
+    # At the k the command evaluates at, the principal root of z: at z = pi^2
+    # the centre dn value is 1.6e-17, and rounding k alone moves it by 23%.
+    k = cmath.sqrt(cli.parse_complex(z))
+    for x, xi, re, im in parse_csv(out)[1]:
+        exact = _mp_kernel(which, k, float(x), float(xi))
+        assert abs(complex(float(re), float(im)) - exact) <= 1e-12 * abs(exact), (x, xi)
 
 
 @pytest.mark.parametrize(

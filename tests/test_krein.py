@@ -325,25 +325,3 @@ def test_discrete_denominator_root_matches_analytic():
     found = find_new_eigenvalues(d_fn, (0.1, 9.0), 2, exclusions)
     assert len(found) == 1
     assert abs(found[0].z.real - PI_HALF_SQ) / PI_HALF_SQ < 0.01
-
-
-def test_eigen_pairs_carry_function_and_residual():
-    pair, form = _recovered(150)
-    d_fn = discretize.krein_denominator_function(pair, form)
-    exclusions = [float(v) for v in discretize.dd_eigenvalues(pair) if v < 30.0]
-
-    def eigenfunction(z: float) -> Vector:
-        return deflect(discretize.resolvent(pair.t_dd, z), z, form.f)
-
-    found = find_new_eigenvalues(
-        d_fn, (0.1, 30.0), 4, exclusions, eigenfunction_fn=eigenfunction, t2=pair.t_dn
-    )
-    assert len(found) == 2
-    for p in found:
-        assert p.eigenfunction is not None
-        assert p.residual <= 1e-6 * pair.t_dn.norm_max()
-        assert p.k**2 == pytest.approx(p.z)
-    # roots are eigenvalues of t_dn itself when the factors come from its
-    # inverse difference
-    oracle = discretize.discrete_new_eigenvalues(pair, 2)
-    assert [p.z.real for p in found] == pytest.approx(oracle, rel=1e-9)

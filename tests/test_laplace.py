@@ -9,13 +9,14 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rankone.krein
 from rankone import laplace
-from rankone.krein import SpectralPoint
 from rankone.laplace import (
     DirichletPoleError,
     KernelPoint,
     NeumannPoleError,
     PoleError,
+    SpectralPoint,
     deflected_ramp,
     dn_eigenvalues,
     green_dd_spectral,
@@ -272,11 +273,11 @@ def test_spectral_difference_poles_distinguished():
         spectral_difference(KernelPoint(0.5, 0.5), s_from((math.pi / 2) ** 2))
 
 
-# ------------------------------------------- memoized denominators: bit identity
+# -------------------------------------------- reuse per point: bit identity
 #
-# Reference formulas: the spectral kernels as written before their z-only
-# denominators were memoized, each recomputing sin k, cos k and the pole
-# checks per call.  The memoized kernels must reproduce them bit for bit.
+# Reference formulas: the spectral kernels recomputing sin k, cos k and the
+# pole checks from cmath on every call.  The kernels, which read them from
+# the SpectralPoint, must reproduce them bit for bit, zero signs included.
 
 
 def _oracle_check_dd_pole(k):
@@ -304,7 +305,7 @@ def _oracle_dd(pt, s):
     if abs(k) < laplace.SMALL_K:
         return -a * b * (1.0 + s.z * (1.0 - a * a - b * b) / 6.0)
     _oracle_check_dd_pole(k)
-    return -cmath.sin(k * a) * cmath.sin(k * b) / (k * cmath.sin(k))
+    return -(cmath.sin(k * a) / cmath.sin(k)) * (cmath.sin(k * b) / k)
 
 
 def _oracle_diff(pt, s):
@@ -316,14 +317,20 @@ def _oracle_diff(pt, s):
         return -x * xi * (1.0 + z * (4.0 - x * x - xi * xi) / 6.0)
     _oracle_check_dd_pole(k)
     _oracle_check_dn_pole(k)
-    return -cmath.sin(k * x) * cmath.sin(k * xi) / (k * cmath.sin(k) * cmath.cos(k))
+    return -(cmath.sin(k * x) / cmath.sin(k)) * (cmath.sin(k * xi) / cmath.cos(k)) / k
 
 
 def _oracle_dn(pt, s):
-    return _oracle_dd(pt, s) + _oracle_diff(pt, s)
+    k = s.k
+    if abs(k) < laplace.SMALL_K:
+        return _oracle_dd(pt, s) + _oracle_diff(pt, s)
+    _oracle_check_dn_pole(k)
+    a = min(pt.x, pt.xi)
+    b = 1.0 - max(pt.x, pt.xi)
+    return -(cmath.sin(k * a) / cmath.cos(k)) * (cmath.cos(k * b) / k)
 
 
-MEMOIZED_KERNELS = (
+REFERENCE_KERNELS = (
     (green_dd_spectral, _oracle_dd),
     (green_dn_spectral, _oracle_dn),
     (spectral_difference, _oracle_diff),
@@ -376,23 +383,23 @@ _coordinate = unit | st.just(-0.0)
     st.lists(_spectral_points, min_size=1, max_size=3),
     st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=4),
 )
-def test_memoized_kernels_bit_identical_to_reference(points, coordinates):
+def test_kernels_bit_identical_to_reference(points, coordinates):
     for point in points:
         # Next to each point its conjugate, which for real z compares equal
         # to it and differs only in the sign of the zero imaginary part.
         twin = SpectralPoint.from_z(point.z.conjugate())
         for s, (x, xi) in itertools.product((point, twin, point), coordinates):
             pt = KernelPoint(x, xi)
-            for kernel, oracle in MEMOIZED_KERNELS:
+            for kernel, oracle in REFERENCE_KERNELS:
                 assert _outcome(kernel, pt, s) == _outcome(oracle, pt, s)
 
 
-def test_memo_tells_apart_points_equal_up_to_zero_sign():
+def test_kernels_tell_apart_points_equal_up_to_zero_sign():
     pt = KernelPoint(0.3, 0.6)
     plus, minus = SpectralPoint.from_z(4 + 0j), SpectralPoint.from_z(complex(4.0, -0.0))
     assert plus.k == minus.k
     for s in (plus, minus, plus):
-        for kernel, oracle in MEMOIZED_KERNELS:
+        for kernel, oracle in REFERENCE_KERNELS:
             assert repr(kernel(pt, s)) == repr(oracle(pt, s))
 
 
@@ -416,28 +423,37 @@ class _CountingCmath:
 
 
 def test_z_only_denominator_computed_once_per_point(monkeypatch):
+    # sin k and cos k are computed when the point is built, never per kernel value.
     grid = [float(v) for v in np.linspace(0.0, 1.0, 20)]
-    for kernel, _ in MEMOIZED_KERNELS:
-        s = s_from(7.3 + 2.1j)
-        counting = _CountingCmath(s.k)
+    for kernel, _ in REFERENCE_KERNELS:
+        k = complex(2.9, 0.36)
+        counting = _CountingCmath(k)
         monkeypatch.setattr(laplace, "cmath", counting)
+        s = SpectralPoint.from_k(k)
+        assert s.k is k
         for x in grid:
             for xi in grid:
                 kernel(KernelPoint(x, xi), s)
-        assert counting.sin_k <= 1 and counting.cos_k <= 1, kernel.__name__
+        assert counting.sin_k == 1 and counting.cos_k == 1, kernel.__name__
 
 
 def test_pole_raises_on_every_call():
     pt = KernelPoint(0.3, 0.6)
-    dd_pole, dn_pole = s_from(math.pi**2), s_from((math.pi / 2) ** 2)
-    for _ in range(3):
-        for kernel in (green_dd_spectral, green_dn_spectral, spectral_difference):
-            with pytest.raises(DirichletPoleError):
-                kernel(pt, dd_pole)
-        green_dd_spectral(pt, dn_pole)
-        for kernel in (green_dn_spectral, spectral_difference):
-            with pytest.raises(NeumannPoleError):
-                kernel(pt, dn_pole)
+    for j in (1, 2, 3):
+        dd_pole, dn_pole = s_from((j * math.pi) ** 2), s_from(((j - 0.5) * math.pi) ** 2)
+        for _ in range(3):
+            for kernel in (green_dd_spectral, spectral_difference):
+                with pytest.raises(DirichletPoleError):
+                    kernel(pt, dd_pole)
+            assert cmath.isfinite(green_dn_spectral(pt, dd_pole))
+            assert cmath.isfinite(green_dd_spectral(pt, dn_pole))
+            for kernel in (green_dn_spectral, spectral_difference):
+                with pytest.raises(NeumannPoleError):
+                    kernel(pt, dn_pole)
+
+
+def test_spectral_point_has_one_home():
+    assert rankone.krein.SpectralPoint is laplace.SpectralPoint
 
 
 # --------------------------------------------------------------------- dn kernel
@@ -457,6 +473,42 @@ def test_dn_spectral_neumann_boundary_condition():
 def test_dn_spectral_zero_limit_matches_static():
     pt = KernelPoint(0.35, 0.8)
     assert green_dn_spectral(pt, s_from(0.0)) == pytest.approx(-green_dn_static(pt))
+
+
+# ------------------------------------------------- large |Im k| against mpmath
+
+
+def _mp_kernel(kernel, z, x, xi):
+    """The spectral kernel at 30 digits, in its textbook quotient form."""
+    with mp.workdps(30):
+        k = mp.sqrt(mp.mpc(z))
+        a, b = min(x, xi), 1.0 - max(x, xi)
+        if kernel is green_dd_spectral:
+            return complex(-mp.sin(k * a) * mp.sin(k * b) / (k * mp.sin(k)))
+        if kernel is green_dn_spectral:
+            return complex(-mp.sin(k * a) * mp.cos(k * b) / (k * mp.cos(k)))
+        return complex(-mp.sin(k * x) * mp.sin(k * xi) / (k * mp.sin(k) * mp.cos(k)))
+
+
+# Far from the real axis, where a quotient by k sin k or k sin k cos k
+# overflows while sin k is finite; and dn at the Dirichlet eigenvalues.
+MPMATH_PINS = [
+    (spectral_difference, -1.3e5, 1.0, 1.0),
+    (green_dn_spectral, -1.3e5, 1.0, 1.0),
+    (green_dd_spectral, -5e5, 0.5, 0.5),
+    (green_dd_spectral, 1e6j, 0.5, 0.5),
+    (green_dn_spectral, 1e6j, 0.5, 0.5),
+    (spectral_difference, 1e6j, 0.5, 0.5),
+] + [(green_dn_spectral, (j * math.pi) ** 2, 0.3, 0.6) for j in (1, 2, 3)]
+
+
+@pytest.mark.parametrize(
+    "kernel, z, x, xi", MPMATH_PINS, ids=[f"{p[0].__name__}-z={p[1]:.6g}-({p[2]},{p[3]})" for p in MPMATH_PINS]
+)
+def test_kernel_matches_mpmath(kernel, z, x, xi):
+    exact = _mp_kernel(kernel, z, x, xi)
+    value = kernel(KernelPoint(x, xi), s_from(z))
+    assert abs(value - exact) <= 1e-12 * abs(exact), (value, exact)
 
 
 # ------------------------------------------------------------------ eigenvalues
