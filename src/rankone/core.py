@@ -274,13 +274,13 @@ def invert(a: Operator) -> DenseOperator:
     Raises :class:`SingularMatrixError` when the smallest pivot falls
     below PIVOT_RTOL times the largest one.
     """
-    from scipy.linalg import lapack  # loaded on first factorization: most commands never factor
+    from . import _lapack  # the LAPACK extension loads on first use: most commands never factor
 
-    lu, piv, _ = lapack.zgetrf(a.matrix)
+    lu, piv, _ = _lapack.zgetrf(a.matrix)
     pivots = np.abs(np.diag(lu))
     if np.min(pivots) < PIVOT_RTOL * np.max(pivots):
         raise SingularMatrixError(
             f"matrix numerically singular: pivot ratio {np.min(pivots) / max(np.max(pivots), 1e-300):.3e}"
         )
-    inv, _ = lapack.zgetrs(lu, piv, np.eye(a.dim, dtype=complex))
+    inv, _ = _lapack.zgetrs(lu, piv, np.eye(a.dim, dtype=complex))
     return DenseOperator(inv)

@@ -147,12 +147,12 @@ class TridiagonalResolvent(Operator):
     factors: tuple
 
     def _solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
-        from scipy.linalg import lapack
+        from . import _lapack
 
         pad = self.factors[1].shape[0] - self.dim
         if pad:
             b = np.concatenate((b, np.zeros((pad,) + b.shape[1:], dtype=complex)))
-        return lapack.zgttrs(*self.factors, b, trans=trans)[0][: self.dim]
+        return _lapack.zgttrs(*self.factors, b, trans=trans)[0][: self.dim]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self._solve(x)
@@ -225,7 +225,7 @@ def resolvent(t: Tridiagonal, z: complex) -> TridiagonalResolvent:
     T and for z within about delta of an eigenvalue, so the certificate
     changes no decision and no factor.
     """
-    from scipy.linalg import lapack  # loaded on first factorization, not on import
+    from . import _lapack  # the LAPACK extension loads on first use, not on import
 
     z = complex(z)
     if not cmath.isfinite(z):
@@ -241,11 +241,11 @@ def resolvent(t: Tridiagonal, z: complex) -> TridiagonalResolvent:
         pad = np.zeros(_LAPACK_MIN_DIM - t.dim)
         lower, upper = np.concatenate((lower, pad)), np.concatenate((upper, pad))
         diag = np.concatenate((diag, pad + anorm))
-    *factors, info = lapack.zgttrf(lower, diag, upper)
+    *factors, info = _lapack.zgttrf(lower, diag, upper)
     if info > 0:
         raise SpectrumHitError(f"z={z} hits the discrete spectrum (zero pivot)")
     if not _clear_of_spectrum(t, z, anorm):
-        rcond, _ = lapack.zgtcon(*factors, anorm)
+        rcond, _ = _lapack.zgtcon(*factors, anorm)
         if rcond < RCOND_TOL:
             raise SpectrumHitError(f"z={z} hits the discrete spectrum (rcond {rcond:.3e})")
     return TridiagonalResolvent(t.dim, tuple(factors))
@@ -278,7 +278,7 @@ def eigenvalue_count(t: Tridiagonal, lo: float, hi: float) -> int:
     eigenvalue that close to lo or hi may fall on either side.  ValueError
     for a non-Hermitian ``t`` or unless lo < hi.
     """
-    from scipy.linalg import lapack
+    from . import _lapack
 
     if t._sturm is None:
         raise ValueError("eigenvalue_count needs a Hermitian tridiagonal")
@@ -287,7 +287,7 @@ def eigenvalue_count(t: Tridiagonal, lo: float, hi: float) -> int:
     d, e = t._sturm
     # RANGE='V' (1) counts eigenvalues in (lo, hi]; an infinite ABSTOL takes
     # every bisection interval as converged, so only the two counts run.
-    return int(lapack.dstebz(d, e, 1, float(lo), float(hi), 0, 0, math.inf, "E")[0])
+    return int(_lapack.dstebz(d, e, 1, float(lo), float(hi), 0, 0, math.inf, "E")[0])
 
 
 def discrete_new_eigenvalues(pair: DiscretePair, count: int) -> list[float]:

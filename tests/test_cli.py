@@ -453,7 +453,8 @@ def _subprocess_env() -> dict:
 
 def test_import_leaves_heavy_scipy_modules_unloaded():
     # Each of these costs a large share of start-up; none is needed to import
-    # the package or the CLI.  scipy.linalg loads on the first factorization.
+    # the package or the CLI.  A factorization loads only scipy's LAPACK
+    # extension (see the next test).
     heavy = ("scipy.linalg", "scipy.optimize", "scipy.integrate", "scipy.fft")
     for module in ("rankone", "rankone.cli"):
         code = f"import sys, {module}; print([m for m in {heavy!r} if m in sys.modules])"
@@ -461,3 +462,27 @@ def test_import_leaves_heavy_scipy_modules_unloaded():
             [sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True, check=True
         )
         assert result.stdout.strip() == "[]", module
+
+
+def test_factorizing_commands_leave_heavy_scipy_modules_unloaded():
+    # Each command factors z - T or a dense matrix: the LAPACK extension is
+    # loaded from its file, so no scipy package __init__ runs.
+    heavy = ("scipy.linalg", "scipy.optimize", "scipy.integrate", "scipy.fft")
+    commands = [
+        ["perturb", "--random", "--dim", "8"],
+        ["recover", "--n", "40"],
+        ["resolvent-diff", "--source", "discrete", "--n", "40", "--z", "1.5,0.5"],
+        ["verify"],
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "from rankone import cli\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        f"print('scipy.linalg._flapack' in sys.modules, [m for m in {heavy!r} if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "True []"

@@ -356,16 +356,16 @@ def test_structured_pipeline_at_large_n_allocates_no_dense_matrix():
 
 
 def _zgtcon_calls(monkeypatch) -> list:
-    from scipy.linalg import lapack
+    from rankone import _lapack
 
     calls = []
-    estimate = lapack.zgtcon
+    estimate = _lapack.zgtcon
 
     def counted(*args, **kwargs):
         calls.append(1)
         return estimate(*args, **kwargs)
 
-    monkeypatch.setattr(lapack, "zgtcon", counted)
+    monkeypatch.setattr(_lapack, "zgtcon", counted)
     return calls
 
 
