@@ -3,9 +3,10 @@
 Commands: greens, eigs, resolvent-diff, perturb, recover, verify.
 Data goes to stdout as CSV (header row, 17 significant digits) or JSON
 (the full record: command, parameters, columns, rows, status);
-diagnostics go to stderr.  Exit codes: 0 success, 1 invariant failure,
-2 spectral pole hit, 3 input error, 4 out of memory.  All randomness is
-seeded, so output is byte-identical for identical command, flags and seed.
+diagnostics go to stderr.  Exit codes: 0 success (also when the reader
+closes stdout early), 1 invariant failure, 2 spectral pole hit, 3 input
+error, 4 out of memory.  All randomness is seeded, so output is
+byte-identical for identical command, flags and seed.
 recover and resolvent-diff --source discrete form no n x n matrix at any n:
 their check rows act on a seeded n x 4 Gaussian block, O(n) time and memory.
 """
@@ -16,6 +17,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -94,10 +96,6 @@ def parse_complex(text: str) -> complex:
     return complex(re, im)
 
 
-def _grid_values(m: int) -> np.ndarray:
-    return np.linspace(0.0, 1.0, m)
-
-
 CHECK_SEED = 0
 
 
@@ -130,10 +128,11 @@ def cmd_greens(args) -> OutputRecord:
 def _kernel_table(command: str, params: dict, kernel, *kernel_args) -> OutputRecord:
     """kernel(KernelPoint(x, xi), *kernel_args) on the grid_m x grid_m grid, one row per point."""
     record = OutputRecord(command, params, ["x", "xi", "re", "im"])
-    for x in _grid_values(params["grid_m"]):
-        for xi in _grid_values(params["grid_m"]):
-            value = kernel(laplace.KernelPoint(float(x), float(xi)), *kernel_args)
-            record.rows.append((float(x), float(xi), value.real, value.imag))
+    grid = np.linspace(0.0, 1.0, params["grid_m"]).tolist()
+    for x in grid:
+        for xi in grid:
+            value = kernel(laplace.KernelPoint(x, xi), *kernel_args)
+            record.rows.append((x, xi, value.real, value.imag))
     return record
 
 
@@ -406,7 +405,16 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         print(f"rankone: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_RESOURCE_ERROR
-    emit(record, args.format, sys.stdout)
+    try:
+        emit(record, args.format, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (| head).  Point the descriptor at
+        # devnull so that the flush at interpreter exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     if not record.status.get("ok", True):
         return int(record.status.get("code", EXIT_INVARIANT_FAILURE))
     return EXIT_OK

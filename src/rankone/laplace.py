@@ -12,9 +12,9 @@ expressions subtract terms of order 1/k^2 and would lose most digits
 there.  z = 0 returns the exact continuity limits (the resolvent at
 zero is the negated inverse).
 
-A SpectralPoint computes sin k and cos k once, when it is built, and
-decides both poles there; every spectral formula reads them from the
-point, so a grid of kernel values at one point pays for them once.
+A SpectralPoint computes sin k, cos k, both poles and the Taylor
+branch once, when it is built; every spectral formula reads them from
+the point, so a grid of kernel values at one point pays for them once.
 Each kernel divides before it multiplies: a ratio such as
 sin(k a)/sin(k) with a <= 1 stays bounded away from the poles, so no
 intermediate overflows below |Im k| ~ 710, where sin k itself does and
@@ -24,7 +24,6 @@ building the point raises OverflowError.
 from __future__ import annotations
 
 import cmath
-from collections import namedtuple
 from dataclasses import dataclass, field
 
 # Taylor branch below this |k|; direct evaluation above it.
@@ -48,15 +47,16 @@ class NeumannPoleError(PoleError):
 class SpectralPoint:
     """Spectral parameter z with k, the principal root of k^2 = z, and sin k, cos k.
 
-    ``dd_pole`` (sin k vanishes) and ``dn_pole`` (cos k vanishes) are
-    decided here, each by |.| < POLE_RTOL * max(1, |k|).  Building a
-    point raises OverflowError above |Im k| ~ 710, where sin k overflows.
+    Decided here: ``taylor``, |k| < SMALL_K (so true at z = 0), and the poles
+    ``dd_pole`` (sin k) and ``dn_pole`` (cos k), |.| < POLE_RTOL * max(1, |k|).
+    Building a point raises OverflowError above |Im k| ~ 710.
     """
 
     z: complex
     k: complex
     sin_k: complex = field(init=False, repr=False, compare=False)
     cos_k: complex = field(init=False, repr=False, compare=False)
+    taylor: bool = field(init=False, repr=False, compare=False)
     dd_pole: bool = field(init=False, repr=False, compare=False)
     dn_pole: bool = field(init=False, repr=False, compare=False)
 
@@ -68,6 +68,7 @@ class SpectralPoint:
         band = POLE_RTOL * max(1.0, abs(k))
         object.__setattr__(self, "sin_k", sin_k)
         object.__setattr__(self, "cos_k", cos_k)
+        object.__setattr__(self, "taylor", abs(k) < SMALL_K)
         object.__setattr__(self, "dd_pole", abs(sin_k) < band)
         object.__setattr__(self, "dn_pole", abs(cos_k) < band)
 
@@ -82,51 +83,46 @@ class SpectralPoint:
         return cls(z=k * k, k=k)
 
 
-class KernelPoint(namedtuple("KernelPoint", "x xi")):
-    """Argument pair (x, xi) of a kernel on the unit square."""
-
-    __slots__ = ()
-
-    def __new__(cls, x: float, xi: float):
-        if not (0.0 <= x <= 1.0 and 0.0 <= xi <= 1.0):
-            raise ValueError(f"kernel coordinates must lie in [0,1], got {(x, xi)}")
-        return tuple.__new__(cls, (x, xi))
-
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's _make (and _replace, which calls it) skips __new__.
-        return cls(*iterable)
+def KernelPoint(x: float, xi: float) -> tuple[float, float]:
+    """Argument pair (x, xi) of a kernel on the unit square, as a plain tuple."""
+    if not (0.0 <= x <= 1.0 and 0.0 <= xi <= 1.0):
+        raise ValueError(f"kernel coordinates must lie in [0,1], got {(x, xi)}")
+    return x, xi
 
 
-def green_dd_static(pt: KernelPoint) -> float:
+def green_dd_static(pt: tuple[float, float]) -> float:
     """Green's kernel of the Dirichlet-Dirichlet inverse: min(x,xi)*(1-max(x,xi))."""
-    if pt.x <= pt.xi:
-        return -pt.x * (pt.xi - 1.0)
-    return -(pt.x - 1.0) * pt.xi
+    x, xi = pt
+    if x <= xi:
+        return -x * (xi - 1.0)
+    return -(x - 1.0) * xi
 
 
-def green_dn_static(pt: KernelPoint) -> float:
+def green_dn_static(pt: tuple[float, float]) -> float:
     """Green's kernel of the Dirichlet-Neumann inverse: min(x, xi)."""
-    return min(pt.x, pt.xi)
+    return min(pt)
 
 
-def static_difference(pt: KernelPoint) -> float:
+def static_difference(pt: tuple[float, float]) -> float:
     """Kernel of the rank-one inverse difference: x*xi."""
-    return pt.x * pt.xi
+    x, xi = pt
+    return x * xi
 
 
-def green_dd_spectral(pt: KernelPoint, s: SpectralPoint) -> complex:
+def green_dd_spectral(pt: tuple[float, float], s: SpectralPoint) -> complex:
     """Kernel of (z - T_dd)^-1: -(sin(k a) / sin k) (sin(k b) / k), a=min, b=1-max."""
     x, xi = pt
-    a, b = (x, 1.0 - xi) if x <= xi else (xi, 1.0 - x)
+    if not s.taylor:
+        if s.dd_pole:
+            raise DirichletPoleError(f"sin(k) vanishes at k={s.k}")
+        k = s.k
+        if x <= xi:
+            return -(cmath.sin(k * x) / s.sin_k) * (cmath.sin(k * (1.0 - xi)) / k)
+        return -(cmath.sin(k * xi) / s.sin_k) * (cmath.sin(k * (1.0 - x)) / k)
     if s.z == 0:
         return complex(-green_dd_static(pt))
-    k = s.k
-    if abs(k) < SMALL_K:
-        return -a * b * (1.0 + s.z * (1.0 - a * a - b * b) / 6.0)
-    if s.dd_pole:
-        raise DirichletPoleError(f"sin(k) vanishes at k={k}")
-    return -(cmath.sin(k * a) / s.sin_k) * (cmath.sin(k * b) / k)
+    a, b = (x, 1.0 - xi) if x <= xi else (xi, 1.0 - x)
+    return -a * b * (1.0 + s.z * (1.0 - a * a - b * b) / 6.0)
 
 
 def ramp_response(x: float, s: SpectralPoint) -> complex:
@@ -134,26 +130,26 @@ def ramp_response(x: float, s: SpectralPoint) -> complex:
 
     Solves z u + u'' = z x with u(0) = u(1) = 0.
     """
+    if not s.taylor:
+        if s.dd_pole:
+            raise DirichletPoleError(f"sin(k) vanishes at k={s.k}")
+        return x - cmath.sin(s.k * x) / s.sin_k
     if s.z == 0:
         return 0.0 + 0.0j
-    k, z = s.k, s.z
-    if abs(k) < SMALL_K:
-        return -x * z * ((1.0 - x * x) / 6.0 + z * (7.0 / 360.0 - x * x / 36.0 + x**4 / 120.0))
-    if s.dd_pole:
-        raise DirichletPoleError(f"sin(k) vanishes at k={k}")
-    return x - cmath.sin(k * x) / s.sin_k
+    z = s.z
+    return -x * z * ((1.0 - x * x) / 6.0 + z * (7.0 / 360.0 - x * x / 36.0 + x**4 / 120.0))
 
 
 def deflected_ramp(x: float, s: SpectralPoint) -> complex:
     """(-I + z (z - T_dd)^-1) applied to the ramp, at x: -sin(kx)/sin(k)."""
+    if not s.taylor:
+        if s.dd_pole:
+            raise DirichletPoleError(f"sin(k) vanishes at k={s.k}")
+        return -cmath.sin(s.k * x) / s.sin_k
     if s.z == 0:
         return complex(-x)
-    k, z = s.k, s.z
-    if abs(k) < SMALL_K:
-        return -x * (1.0 + z * (1.0 - x * x) / 6.0 + z * z * (7.0 / 360.0 - x * x / 36.0 + x**4 / 120.0))
-    if s.dd_pole:
-        raise DirichletPoleError(f"sin(k) vanishes at k={k}")
-    return -cmath.sin(k * x) / s.sin_k
+    z = s.z
+    return -x * (1.0 + z * (1.0 - x * x) / 6.0 + z * z * (7.0 / 360.0 - x * x / 36.0 + x**4 / 120.0))
 
 
 def scalar_pairing(s: SpectralPoint) -> complex:
@@ -163,57 +159,60 @@ def scalar_pairing(s: SpectralPoint) -> complex:
     terms are each O(1/k^2) and cancel to O(1), so small |k| switches to
     the series -1/3 - z/45 - 2 z^2/945 - z^3/4725.
     """
+    if not s.taylor:
+        if s.dd_pole:
+            raise DirichletPoleError(f"sin(k) vanishes at k={s.k}")
+        k = s.k
+        return s.cos_k / (k * s.sin_k) - 1.0 / (k * k)
     if s.z == 0:
         return complex(-1.0 / 3.0)
-    k, z = s.k, s.z
-    if abs(k) < SMALL_K:
-        return -1.0 / 3.0 - z / 45.0 - 2.0 * z * z / 945.0 - z**3 / 4725.0
-    if s.dd_pole:
-        raise DirichletPoleError(f"sin(k) vanishes at k={k}")
-    return s.cos_k / (k * s.sin_k) - 1.0 / (k * k)
+    z = s.z
+    return -1.0 / 3.0 - z / 45.0 - 2.0 * z * z / 945.0 - z**3 / 4725.0
 
 
 def krein_denominator(s: SpectralPoint) -> complex:
     """The scalar 1 + z <l|(-I + z R_dd) f> in closed form: k cot(k)."""
+    if not s.taylor:
+        if s.dd_pole:
+            raise DirichletPoleError(f"sin(k) vanishes at k={s.k}")
+        return s.k * s.cos_k / s.sin_k
     if s.z == 0:
         return 1.0 + 0.0j
-    k, z = s.k, s.z
-    if abs(k) < SMALL_K:
-        return 1.0 - z / 3.0 - z * z / 45.0 - 2.0 * z**3 / 945.0 - z**4 / 4725.0
-    if s.dd_pole:
-        raise DirichletPoleError(f"sin(k) vanishes at k={k}")
-    return k * s.cos_k / s.sin_k
+    z = s.z
+    return 1.0 - z / 3.0 - z * z / 45.0 - 2.0 * z**3 / 945.0 - z**4 / 4725.0
 
 
-def spectral_difference(pt: KernelPoint, s: SpectralPoint) -> complex:
+def spectral_difference(pt: tuple[float, float], s: SpectralPoint) -> complex:
     """Kernel of (z - T_dn)^-1 - (z - T_dd)^-1: -(sin(kx) / sin k) (sin(k xi) / cos k) / k."""
+    x, xi = pt
+    if not s.taylor:
+        k = s.k
+        if s.dd_pole:
+            raise DirichletPoleError(f"sin(k) vanishes at k={k}")
+        if s.dn_pole:
+            raise NeumannPoleError(f"cos(k) vanishes at k={k}")
+        return -(cmath.sin(k * x) / s.sin_k) * (cmath.sin(k * xi) / s.cos_k) / k
     if s.z == 0:
         return complex(-static_difference(pt))
-    k, z = s.k, s.z
-    x, xi = pt
-    if abs(k) < SMALL_K:
-        return -x * xi * (1.0 + z * (4.0 - x * x - xi * xi) / 6.0)
-    if s.dd_pole:
-        raise DirichletPoleError(f"sin(k) vanishes at k={k}")
-    if s.dn_pole:
-        raise NeumannPoleError(f"cos(k) vanishes at k={k}")
-    return -(cmath.sin(k * x) / s.sin_k) * (cmath.sin(k * xi) / s.cos_k) / k
+    z = s.z
+    return -x * xi * (1.0 + z * (4.0 - x * x - xi * xi) / 6.0)
 
 
-def green_dn_spectral(pt: KernelPoint, s: SpectralPoint) -> complex:
+def green_dn_spectral(pt: tuple[float, float], s: SpectralPoint) -> complex:
     """Kernel of (z - T_dn)^-1: -(sin(k a) / cos k) (cos(k b) / k), a=min, b=1-max.
 
     Defined at the eigenvalues of T_dd, where sin k vanishes.  At z = 0
     and on the Taylor branch it is the dd kernel plus the difference.
     """
-    k = s.k
-    if abs(k) < SMALL_K:
-        return green_dd_spectral(pt, s) + spectral_difference(pt, s)
-    if s.dn_pole:
-        raise NeumannPoleError(f"cos(k) vanishes at k={k}")
-    x, xi = pt
-    a, b = (x, 1.0 - xi) if x <= xi else (xi, 1.0 - x)
-    return -(cmath.sin(k * a) / s.cos_k) * (cmath.cos(k * b) / k)
+    if not s.taylor:
+        if s.dn_pole:
+            raise NeumannPoleError(f"cos(k) vanishes at k={s.k}")
+        k = s.k
+        x, xi = pt
+        if x <= xi:
+            return -(cmath.sin(k * x) / s.cos_k) * (cmath.cos(k * (1.0 - xi)) / k)
+        return -(cmath.sin(k * xi) / s.cos_k) * (cmath.cos(k * (1.0 - x)) / k)
+    return green_dd_spectral(pt, s) + spectral_difference(pt, s)
 
 
 def dn_eigenvalues(count: int) -> list[SpectralPoint]:

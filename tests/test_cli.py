@@ -295,6 +295,23 @@ def test_perturb_pairing_overflow_prints_one_stderr_line_as_subprocess(tmp_path)
     assert "out of floating-point range" in result.stderr
 
 
+def test_closed_stdout_exits_zero_without_traceback():
+    # 40 000 rows, far more than a pipe holds: the writes after the reader
+    # has gone fail with EPIPE, as under `| head -1`.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rankone.cli", "greens", "--which", "dd", "--z", "1,1", "--grid-m", "200"],
+        env=_subprocess_env(), stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.readline() == b"x,xi,re,im\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == cli.EXIT_OK
+    assert err == b""
+
+
 def _mp_kernel(which, k, x, xi):
     """Kernel of greens --which (diff also for resolvent-diff) at 30 digits."""
     with mp.workdps(30):

@@ -37,6 +37,14 @@ def s_from(z: complex) -> SpectralPoint:
     return SpectralPoint.from_z(complex(z))
 
 
+# |k| / SMALL_K just below, at and just above the Taylor switch.
+TAYLOR_SWITCH = (1.0 - 2.0**-50, 1.0, 1.0 + 2.0**-50)
+
+
+def _switch_z(scale, sign):  # real z, so from_z returns |k| = SMALL_K * scale exactly
+    return complex(sign * (laplace.SMALL_K * scale) ** 2)
+
+
 # --------------------------------------------------------------- static kernels
 
 
@@ -72,25 +80,19 @@ def test_static_kernels_symmetric(x, xi):
 
 
 def test_kernel_point_validates_range():
-    good = KernelPoint(0.5, 0.5)
     for x, xi in ((-0.1, 0.5), (0.5, 1.2), (math.nan, 0.5), (0.5, math.nan)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"must lie in \[0,1\]"):
             KernelPoint(x, xi)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"must lie in \[0,1\]"):
             KernelPoint(x=x, xi=xi)
-        with pytest.raises(ValueError):
-            KernelPoint._make((x, xi))
-        with pytest.raises(ValueError):
-            good._replace(x=x, xi=xi)
 
 
 def test_kernel_point_is_immutable():
     pt = KernelPoint(0.25, 0.75)
-    assert (pt.x, pt.xi) == (0.25, 0.75)
-    assert pt._replace(xi=1.0) == KernelPoint(0.25, 1.0)
-    for field in ("x", "xi"):
-        with pytest.raises(AttributeError):
-            setattr(pt, field, 0.5)
+    assert type(pt) is tuple and pt == (0.25, 0.75)
+    assert KernelPoint(xi=1.0, x=0.0) == (0.0, 1.0)
+    with pytest.raises(TypeError):
+        pt[0] = 0.5
 
 
 # ------------------------------------------------------------- spectral kernel
@@ -228,6 +230,30 @@ def test_scalar_pairing_continuous_across_taylor_cutover():
     assert abs(below - exact) <= 1e-15
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("scale", TAYLOR_SWITCH)
+def test_scalar_formulas_match_mpmath_across_taylor_switch(scale, sign):
+    s = SpectralPoint.from_z(_switch_z(scale, sign))
+    assert abs(s.k) == laplace.SMALL_K * scale
+    assert s.taylor == (scale < 1.0)
+    # Each branch is good to an ulp, except that the direct pairing
+    # cos k / (k sin k) - 1/k^2 cancels two O(1/k^2) terms.
+    eps = 2.0**-52
+    pairing_tol = eps if s.taylor else 2.0 * eps / abs(s.k) ** 2
+    x = 0.6
+    with mp.workdps(40):
+        k = mp.sqrt(mp.mpc(s.z))
+        ratio = mp.sin(k * x) / mp.sin(k)
+        cases = [
+            (ramp_response(x, s), x - ratio, eps),
+            (deflected_ramp(x, s), -ratio, eps),
+            (scalar_pairing(s), mp.cos(k) / (k * mp.sin(k)) - 1 / k**2, pairing_tol),
+            (krein_denominator(s), k * mp.cos(k) / mp.sin(k), eps),
+        ]
+    for value, exact, tol in cases:
+        assert abs(value - complex(exact)) <= tol, (value, exact)
+
+
 # ------------------------------------------------------------ krein denominator
 
 
@@ -291,14 +317,15 @@ def _oracle_check_dn_pole(k):
 
 
 def _oracle_dd_static(pt):
-    if pt.x <= pt.xi:
-        return -pt.x * (pt.xi - 1.0)
-    return -(pt.x - 1.0) * pt.xi
+    x, xi = pt
+    if x <= xi:
+        return -x * (xi - 1.0)
+    return -(x - 1.0) * xi
 
 
 def _oracle_dd(pt, s):
-    a = min(pt.x, pt.xi)
-    b = 1.0 - max(pt.x, pt.xi)
+    a = min(pt)
+    b = 1.0 - max(pt)
     if s.z == 0:
         return complex(-_oracle_dd_static(pt))
     k = s.k
@@ -309,10 +336,10 @@ def _oracle_dd(pt, s):
 
 
 def _oracle_diff(pt, s):
+    x, xi = pt
     if s.z == 0:
-        return complex(-(pt.x * pt.xi))
+        return complex(-(x * xi))
     k, z = s.k, s.z
-    x, xi = pt.x, pt.xi
     if abs(k) < laplace.SMALL_K:
         return -x * xi * (1.0 + z * (4.0 - x * x - xi * xi) / 6.0)
     _oracle_check_dd_pole(k)
@@ -325,8 +352,8 @@ def _oracle_dn(pt, s):
     if abs(k) < laplace.SMALL_K:
         return _oracle_dd(pt, s) + _oracle_diff(pt, s)
     _oracle_check_dn_pole(k)
-    a = min(pt.x, pt.xi)
-    b = 1.0 - max(pt.x, pt.xi)
+    a = min(pt)
+    b = 1.0 - max(pt)
     return -(cmath.sin(k * a) / cmath.cos(k)) * (cmath.cos(k * b) / k)
 
 
@@ -349,13 +376,15 @@ def _real_z(n, u):  # strictly between the poles of sin k and cos k
     return complex(k * k)
 
 
-# The four z kinds of the analytic-spectral benchmark workload, then
-# optionally a signed-zero imaginary part.
+# The four z kinds of the analytic-spectral benchmark workload, z at the
+# Taylor switch on both axes, then z = 0 with signed zeros; the points built
+# from them optionally get a signed-zero imaginary part.
 _workload_z = st.one_of(
     st.builds(_real_z, st.integers(1, 39), st.floats(0.1, 0.9)),
     st.builds(complex, st.floats(-50.0, 300.0), st.floats(0.5, 50.0) | st.floats(-50.0, -0.5)),
     st.builds(complex, st.floats(-400.0, -0.01)),
     st.builds(cmath.rect, st.floats(1e-12, 1e-8), st.floats(0.0, 2.0 * math.pi)),
+    st.builds(_switch_z, st.sampled_from(TAYLOR_SWITCH), st.sampled_from([1.0, -1.0])),
     st.sampled_from([0j, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)]),
 )
 _spectral_points = st.one_of(
