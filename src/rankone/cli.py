@@ -5,8 +5,8 @@ Data goes to stdout as CSV (header row, 17 significant digits) or JSON
 (the full record: command, parameters, columns, rows, status);
 diagnostics go to stderr.  Exit codes: 0 success (also when the reader
 closes stdout early), 1 invariant failure, 2 spectral pole hit, 3 input
-error, 4 out of memory.  All randomness is seeded, so output is
-byte-identical for identical command, flags and seed.
+error, 4 out of memory or stdout cannot be written.  All randomness is
+seeded, so output is byte-identical for identical command, flags and seed.
 recover and resolvent-diff --source discrete form no n x n matrix at any n:
 their check rows act on a seeded n x 4 Gaussian block, O(n) time and memory.
 """
@@ -406,15 +406,21 @@ def main(argv: list[str] | None = None) -> int:
         print(f"rankone: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_RESOURCE_ERROR
     try:
+        if sys.stdout is None:  # started with stdout closed (>&-)
+            raise OSError("stdout is closed")
         emit(record, args.format, sys.stdout)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout early (| head).  Point the descriptor at
-        # devnull so that the flush at interpreter exit cannot raise again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return EXIT_OK
+    except OSError as exc:
+        if sys.stdout is not None:
+            # Point the descriptor at devnull so that the flush at
+            # interpreter exit cannot raise again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        if isinstance(exc, BrokenPipeError):  # the reader closed stdout early (| head)
+            return EXIT_OK
+        print(f"rankone: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE_ERROR
     if not record.status.get("ok", True):
         return int(record.status.get("code", EXIT_INVARIANT_FAILURE))
     return EXIT_OK

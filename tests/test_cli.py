@@ -312,6 +312,32 @@ def test_closed_stdout_exits_zero_without_traceback():
     assert err == b""
 
 
+def _assert_cannot_write(result):
+    assert result.returncode == cli.EXIT_RESOURCE_ERROR
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("rankone: cannot write output: "), result.stderr
+
+
+def test_closed_stdout_descriptor_exits_four_with_one_line():
+    # `>&-`: the interpreter starts with sys.stdout = None.
+    result = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m rankone.cli greens --which dd --grid-m 3 >&-', sys.executable],
+        env=_subprocess_env(), capture_output=True, text=True, stdin=subprocess.DEVNULL,
+    )
+    _assert_cannot_write(result)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_full_device_on_stdout_exits_four_with_one_line(fmt):
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "rankone.cli", "greens", "--which", "dd", "--grid-m", "3", "--format", fmt],
+            env=_subprocess_env(), stdout=full, stderr=subprocess.PIPE, text=True, stdin=subprocess.DEVNULL,
+        )
+    _assert_cannot_write(result)
+
+
 def _mp_kernel(which, k, x, xi):
     """Kernel of greens --which (diff also for resolvent-diff) at 30 digits."""
     with mp.workdps(30):

@@ -1,10 +1,14 @@
 """The verify suite's cheap oracles against their expensive references."""
 
+import contextlib
+import io
+import math
+
 import numpy as np
 import pytest
 import scipy.integrate
 
-from rankone import discretize, verification
+from rankone import cli, discretize, krein, laplace, verification
 from rankone.core import Operator, OperatorDifference
 
 
@@ -61,3 +65,55 @@ def test_gauss_legendre_pairing_matches_adaptive_quadrature():
         re, _ = scipy.integrate.quad(lambda t: integrand(t).real, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13)
         im, _ = scipy.integrate.quad(lambda t: integrand(t).imag, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13)
         assert abs(verification._quadrature_pairing(s) - complex(re, im)) <= 1e-13
+
+
+VERIFY_ROWS = [
+    "outer-acts-as-pairing",
+    "inverse-residual",
+    "outer-rank-bound",
+    "perturbed-inverse-residual",
+    "singular-null-vector",
+    "solve-matches-inverse",
+    "perturbation-gauge-invariance",
+    "telescoping-identity",
+    "krein-gauge-invariance",
+    "eigenvalue-consistency",
+    "pole-avoidance",
+    "probe-independence",
+    "bilinear-probe-independence",
+    "recovery-residual",
+    "branch-independence",
+    "denominator-consistency-chain",
+    "pairing-quadrature",
+    "ramp-response-pde",
+    "dn-boundary-condition",
+    "exact-rank-one",
+    "sherman-morrison-cross-check",
+    "static-kernel-convergence",
+    "krein-cross-check",
+]
+
+
+def test_registry_runs_every_invariant_once_in_row_order():
+    assert [r.name for r in verification.run_all()] == VERIFY_ROWS
+    # The benchmark looks single checks up by their function names.
+    for check in verification.ALL_CHECKS:
+        assert check.__name__.startswith("check_")
+        assert getattr(verification, check.__name__) is check
+
+
+def test_nan_deviation_fails_its_check(monkeypatch):
+    monkeypatch.setattr(laplace, "scalar_pairing", lambda s: complex(math.nan, 0.0))
+    for check in (verification.check_denominator_consistency_chain, verification.check_pairing_quadrature):
+        result = check(verification.DEFAULT_SEED)
+        assert not result.passed
+        assert math.isnan(result.measured)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify"]) == cli.EXIT_INVARIANT_FAILURE
+
+
+def test_check_without_deviations_fails_with_infinite_measure(monkeypatch):
+    monkeypatch.setattr(krein, "find_new_eigenvalues", lambda *args: [])
+    result = verification.check_eigenvalue_consistency(verification.DEFAULT_SEED)
+    assert not result.passed
+    assert result.measured == math.inf
