@@ -5,7 +5,8 @@ Data goes to stdout as CSV (header row, 17 significant digits) or JSON
 (the full record: command, parameters, columns, rows, status);
 diagnostics go to stderr.  Exit codes: 0 success (also when the reader
 closes stdout early), 1 invariant failure, 2 spectral pole hit, 3 input
-error, 4 out of memory or stdout cannot be written.  All randomness is
+error, 4 out of memory or stdout cannot be written; a closed or
+unwritable stderr loses the error's line, not its code.  All randomness is
 seeded, so output is byte-identical for identical command, flags and seed.
 recover and resolvent-diff --source discrete form no n x n matrix at any n:
 their check rows act on a seeded n x 4 Gaussian block, O(n) time and memory.
@@ -137,6 +138,8 @@ def _kernel_table(command: str, params: dict, kernel, *kernel_args) -> OutputRec
 
 
 def _analytic_root_search(count: int) -> list[krein.EigenPair]:
+    if count < 1:
+        raise ValueError("count must be >= 1")
     hi = (count * math.pi) ** 2 - 1.0
     exclusions = [(j * math.pi) ** 2 for j in range(1, count + 1)]
 
@@ -383,6 +386,24 @@ def _join_z_values(argv: list[str]) -> list[str]:
     return joined
 
 
+def _discard(stream) -> None:
+    """Point a failed standard stream's descriptor at devnull, so that the flush at interpreter exit cannot raise again."""
+    if stream is not None:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+
+
+def _report(message: str) -> None:
+    """One line on stderr.  A closed or unwritable stderr loses the line, never the caller's exit code."""
+    if sys.stderr is None:  # started with stderr closed (2>&-); print would fall back to stdout
+        return
+    try:
+        print(f"rankone: {message}", file=sys.stderr, flush=True)
+    except OSError:
+        _discard(sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -394,16 +415,16 @@ def main(argv: list[str] | None = None) -> int:
             raise InputError("--grid-m must be >= 2")
         record = args.fn(args)
     except (laplace.PoleError, EigenvalueHitError, discretize.SpectrumHitError) as exc:
-        print(f"rankone: spectral pole: {exc}", file=sys.stderr)
+        _report(f"spectral pole: {exc}")
         return EXIT_SPECTRAL_POLE
     except ValueError as exc:  # InputError included
-        print(f"rankone: input error: {exc}", file=sys.stderr)
+        _report(f"input error: {exc}")
         return EXIT_INPUT_ERROR
     except OverflowError as exc:
-        print(f"rankone: input error: result out of floating-point range ({exc})", file=sys.stderr)
+        _report(f"input error: result out of floating-point range ({exc})")
         return EXIT_INPUT_ERROR
     except MemoryError as exc:
-        print(f"rankone: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        _report(f"out of memory: {str(exc) or 'allocation failed'}")
         return EXIT_RESOURCE_ERROR
     try:
         if sys.stdout is None:  # started with stdout closed (>&-)
@@ -411,15 +432,10 @@ def main(argv: list[str] | None = None) -> int:
         emit(record, args.format, sys.stdout)
         sys.stdout.flush()
     except OSError as exc:
-        if sys.stdout is not None:
-            # Point the descriptor at devnull so that the flush at
-            # interpreter exit cannot raise again.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+        _discard(sys.stdout)
         if isinstance(exc, BrokenPipeError):  # the reader closed stdout early (| head)
             return EXIT_OK
-        print(f"rankone: cannot write output: {exc}", file=sys.stderr)
+        _report(f"cannot write output: {exc}")
         return EXIT_RESOURCE_ERROR
     if not record.status.get("ok", True):
         return int(record.status.get("code", EXIT_INVARIANT_FAILURE))

@@ -3,7 +3,11 @@
 Everything is finite-dimensional and complex: vectors are coordinate
 columns, functionals are coordinate rows, operators are square and known
 by their action (:class:`Operator`); :class:`DenseOperator` is the one
-that stores its matrix.
+that stores its matrix.  An inverse is kept as a factorization and applied
+by solves (:class:`FactoredInverse`): :func:`invert` returns A's read-only
+partial-pivot LU (:class:`LUInverse`), whose dense ``matrix`` is solved
+for only when it is read.  Sherman-Morrison's update of such an inverse
+keeps its factors too (``perturbed_inverse.RegularInverse``).
 
 Values are validated where they are built.  The constructors of
 :class:`Vector`, :class:`Functional` and :class:`DenseOperator` copy their
@@ -40,9 +44,9 @@ def _frozen_array(values, ndim: int, allow_empty: bool = False) -> np.ndarray:
         raise ValueError(f"expected a {ndim}-d array, got shape {arr.shape}")
     if arr.size == 0 and not allow_empty:
         raise ValueError("dimension must be >= 1")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("entries must be finite (no NaN/Inf)")
-    arr.setflags(write=False)
+    arr.flags.writeable = False
     return arr
 
 
@@ -224,6 +228,51 @@ class DenseOperator(Operator):
         return DenseOperator(np.eye(dim, dtype=complex))
 
 
+class FactoredInverse(Operator):
+    """An inverse kept as a factorization and applied by solves.
+
+    An implementation gives ``dim`` and ``_solve(b, trans)``, which solves
+    with the factored matrix (``trans`` "N") or its transpose ("T", no
+    conjugation) for a vector or each column of a block b.  The column
+    action is one solve, the row action one transposed solve, and
+    ``matrix`` solves against the identity.
+    """
+
+    def _solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        raise NotImplementedError
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self._solve(x)
+
+    def apply_left(self, w: np.ndarray) -> np.ndarray:
+        return self._solve(w, "T")
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self._solve(np.eye(self.dim, dtype=complex, order="F"))
+
+
+# zgetrs's integer code of each transpose flag.
+_GETRS_TRANS = {"N": 0, "T": 1}
+
+
+@dataclass(frozen=True, eq=False)
+class LUInverse(FactoredInverse):
+    """A^-1 of a dense A, kept as ``zgetrf``'s read-only (lu, piv); each solve is one ``zgetrs``."""
+
+    lu: np.ndarray
+    piv: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.lu.shape[0]
+
+    def _solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        from . import _lapack
+
+        return _lapack.zgetrs(self.lu, self.piv, b, trans=_GETRS_TRANS[trans])[0]
+
+
 @dataclass(frozen=True)
 class RankOneForm:
     """Rank-one operator |f><l|, kept factored as the pair (f, l)."""
@@ -268,9 +317,11 @@ def outer(f: Vector, l: Functional) -> DenseOperator:
     return DenseOperator(product)
 
 
-def invert(a: Operator) -> DenseOperator:
-    """Dense inverse via partial-pivot LU; the brute-force oracle.
+def invert(a: Operator) -> LUInverse:
+    """A^-1 kept as its partial-pivot LU factorization (LAPACK ``zgetrf``).
 
+    Each action of the result is one ``zgetrs`` solve, O(n^2); its
+    ``matrix``, the dense inverse for oracles, solves against the identity.
     Raises :class:`SingularMatrixError` when the smallest pivot falls
     below PIVOT_RTOL times the largest one.
     """
@@ -282,5 +333,6 @@ def invert(a: Operator) -> DenseOperator:
         raise SingularMatrixError(
             f"matrix numerically singular: pivot ratio {np.min(pivots) / max(np.max(pivots), 1e-300):.3e}"
         )
-    inv, _ = _lapack.zgetrs(lu, piv, np.eye(a.dim, dtype=complex))
-    return DenseOperator(inv)
+    lu.flags.writeable = False
+    piv.flags.writeable = False
+    return LUInverse(lu, piv)

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Functional, Operator, RankOneForm, Vector, _frozen_array
+from .core import FactoredInverse, Functional, Operator, RankOneForm, Vector, _frozen_array
 
 
 # scipy's wrappers of the LAPACK tridiagonal routines reject fewer rows.
@@ -134,7 +134,7 @@ class Tridiagonal(Operator):
 
 
 @dataclass(frozen=True, eq=False)
-class TridiagonalResolvent(Operator):
+class TridiagonalResolvent(FactoredInverse):
     """(z - T)^-1 of a tridiagonal T, kept as the LU factors of z - T.
 
     ``factors`` is what LAPACK ``zgttrf`` returns, (dl, d, du, du2, ipiv),
@@ -153,16 +153,6 @@ class TridiagonalResolvent(Operator):
         if pad:
             b = np.concatenate((b, np.zeros((pad,) + b.shape[1:], dtype=complex)))
         return _lapack.zgttrs(*self.factors, b, trans=trans)[0][: self.dim]
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self._solve(x)
-
-    def apply_left(self, w: np.ndarray) -> np.ndarray:
-        return self._solve(w, trans="T")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._solve(np.eye(self.dim, dtype=complex, order="F"))
 
 
 @dataclass(frozen=True)

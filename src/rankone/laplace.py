@@ -49,7 +49,8 @@ class SpectralPoint:
 
     Decided here: ``taylor``, |k| < SMALL_K (so true at z = 0), and the poles
     ``dd_pole`` (sin k) and ``dn_pole`` (cos k), |.| < POLE_RTOL * max(1, |k|).
-    Building a point raises OverflowError above |Im k| ~ 710.
+    Building a point raises ValueError for a non-finite z or k, and
+    OverflowError above |Im k| ~ 710.
     """
 
     z: complex
@@ -62,7 +63,10 @@ class SpectralPoint:
 
     def __post_init__(self):
         k = self.k
-        if abs(k * k - self.z) > 1e-12 * (1.0 + abs(self.z)):
+        if not cmath.isfinite(self.z):
+            raise ValueError(f"z={self.z} is not finite")
+        # Negated so that a NaN k fails too.
+        if not abs(k * k - self.z) <= 1e-12 * (1.0 + abs(self.z)):
             raise ValueError("k**2 must equal z")
         sin_k, cos_k = cmath.sin(k), cmath.cos(k)
         band = POLE_RTOL * max(1.0, abs(k))

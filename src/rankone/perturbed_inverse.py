@@ -7,8 +7,13 @@ invertible and
     B^-1 - A^-1 = A^-1 f <l| A^-1 / (1 - <l|A^-1 f>).
 
 When the scalar vanishes, B annihilates A^-1 f, which is then a
-nonzero null vector.  Linear systems B v = w are solved with two
-applications of A^-1, never forming B^-1.
+nonzero null vector.  The update only ever applies A^-1, to f and to l:
+:class:`RegularInverse` keeps the factors (A^-1 f, <l|A^-1, denominator),
+so an update costs two actions of A^-1 plus O(n), and O(n) memory when
+A^-1 is an O(n) resolvent.  The dense correction is formed only when
+``correction`` is read, and reading it raises ValueError when the outer
+product of two finite factors overflows.  Linear systems B v = w are
+solved with two applications of A^-1, never forming B^-1.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DenseOperator, Operator, RankOneForm, Vector, _check_dims, pair
+from .core import DenseOperator, Functional, Operator, RankOneForm, Vector, _check_dims, pair
 
 
 class SingularPerturbationError(ArithmeticError):
@@ -27,13 +32,27 @@ class SingularPerturbationError(ArithmeticError):
 
 @dataclass(frozen=True)
 class RegularInverse:
-    """Invertible branch: B^-1 = A^-1 + correction."""
+    """Invertible branch, kept factored: B^-1 = A^-1 + |left><right| / denominator.
 
-    correction: DenseOperator
+    left = A^-1 f and right = <l|A^-1.  ``correction`` and ``apply_to``
+    build dense n x n matrices, for oracles and small sizes, only when
+    called; both raise ValueError when the outer product overflows.
+    """
+
+    left: Vector
+    right: Functional
     denominator: complex
 
-    def apply_to(self, a_inv: DenseOperator) -> DenseOperator:
-        return a_inv + self.correction
+    @property
+    def correction(self) -> DenseOperator:
+        """The rank-one term |left><right| / denominator as a dense matrix."""
+        with np.errstate(over="ignore", invalid="ignore"):  # DenseOperator rejects an overflow
+            product = np.outer(self.left.entries, self.right.weights) * complex(1.0 / self.denominator)
+        return DenseOperator(product)
+
+    def apply_to(self, a_inv: Operator) -> DenseOperator:
+        """The dense B^-1 = A^-1 + correction."""
+        return DenseOperator(a_inv.matrix + self.correction.matrix)
 
 
 @dataclass(frozen=True)
@@ -79,18 +98,19 @@ def denominator(a_inv: Operator, p: RankOneForm) -> complex:
 def perturbed_inverse(a_inv: Operator, p: RankOneForm) -> PerturbedInverseResult:
     """Invert B = A - |f><l| given A^-1, or certify B singular.
 
-    Returns :class:`RegularInverse` carrying the rank-one correction
-    when |denominator| > :func:`default_tol`, else :class:`SingularInverse`
-    carrying the null vector A^-1 f.  Raises ValueError when A^-1 f,
-    <l|A^-1 f> or the correction overflows.
+    Returns :class:`RegularInverse` carrying the factors A^-1 f and
+    <l|A^-1 and the denominator when |denominator| > :func:`default_tol`,
+    else :class:`SingularInverse` carrying the null vector A^-1 f.  Two
+    actions of A^-1 plus O(n); no n x n array is formed.  Raises
+    ValueError when A^-1 f, <l|A^-1 f> or <l|A^-1 overflows.
     """
     u_entries, l_u = _pairing(a_inv, p)
     u = Vector(u_entries)
     den = 1.0 - l_u
     if abs(den) > default_tol(l_u):
-        with np.errstate(over="ignore", invalid="ignore"):  # DenseOperator rejects an overflow
-            correction = np.outer(u.entries, a_inv.apply_left(p.l.weights)) * complex(1.0 / den)
-        return RegularInverse(correction=DenseOperator(correction), denominator=den)
+        with np.errstate(over="ignore", invalid="ignore"):  # Functional rejects an overflow
+            right = a_inv.apply_left(p.l.weights)
+        return RegularInverse(left=u, right=Functional(right), denominator=den)
     # f = 0 forces denominator = 1, so this branch implies a nonzero null vector.
     assert u.norm() > 0.0, "singular branch reached with f = 0"
     return SingularInverse(null_vector=u)

@@ -114,8 +114,8 @@ def check_inverse_residual(seed: int):
         a = random_operator(rng, dim)
         a_inv = invert(a)
         eye = np.eye(dim)
-        yield np.max(np.abs((a @ a_inv).matrix - eye))
-        yield np.max(np.abs((a_inv @ a).matrix - eye))
+        yield np.max(np.abs(a.matrix @ a_inv.matrix - eye))
+        yield np.max(np.abs(a_inv.matrix @ a.matrix - eye))
 
 
 @_invariant("outer-rank-bound", 1.0)
@@ -213,13 +213,15 @@ def _recovered_setup(n: int):
 @_invariant("telescoping-identity", 1e-8)
 def check_telescoping_identity(seed: int):
     pair_ = discretize.build_pair(60)
-    t1_inv = invert(pair_.t_dd)
-    t2_inv = invert(pair_.t_dn)
-    eye = DenseOperator.identity(60)
+    t1_inv = invert(pair_.t_dd).matrix
+    t2_inv = invert(pair_.t_dn).matrix
+    eye = np.eye(60)
     for z in (-3.7, 0.9, 1.2 + 0.8j, -2.0 + 1.5j):
-        lhs = (1.0 / z) * (invert(z * t2_inv - eye) - invert(z * t1_inv - eye))
+        lhs = (1.0 / z) * (
+            invert(DenseOperator(z * t2_inv - eye)).matrix - invert(DenseOperator(z * t1_inv - eye)).matrix
+        )
         rhs = discretize.resolvent(pair_.t_dn, z) - discretize.resolvent(pair_.t_dd, z)
-        yield np.max(np.abs(lhs.matrix - rhs.matrix))
+        yield np.max(np.abs(lhs - rhs.matrix))
 
 
 @_invariant("krein-gauge-invariance", 1e-10)

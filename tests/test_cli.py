@@ -136,6 +136,25 @@ def test_eigs_discrete_requires_n():
     assert code == 3
 
 
+def test_eigs_denominator_refuses_count_below_one(capsys):
+    code = cli.main(["eigs", "--method", "denominator", "--count", "0"])
+    out, err = capsys.readouterr()
+    _assert_one_line_input_error(code, out, err)
+    assert "count must be >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["greens", "--which", "dd", "--z", "nan,1", "--grid-m", "2"],
+        ["resolvent-diff", "--source", "analytic", "--z", "nan", "--grid-m", "2"],
+    ],
+    ids=["greens", "resolvent-diff"],
+)
+def test_analytic_path_refuses_a_non_finite_z(argv, capsys):
+    _assert_one_line_input_error(cli.main(argv), *capsys.readouterr())
+
+
 def test_eigs_rejects_unknown_method():
     code, _ = run_cli(["eigs", "--method", "bogus", "--count", "1"])
     assert code == 3
@@ -325,6 +344,29 @@ def test_closed_stdout_descriptor_exits_four_with_one_line():
         env=_subprocess_env(), capture_output=True, text=True, stdin=subprocess.DEVNULL,
     )
     _assert_cannot_write(result)
+
+
+@pytest.mark.parametrize(
+    "redirect, expected",
+    [
+        ("2>&-", cli.EXIT_INPUT_ERROR),
+        ("2</dev/null", cli.EXIT_INPUT_ERROR),
+        (">&- 2>&-", cli.EXIT_RESOURCE_ERROR),
+    ],
+    ids=["closed", "read-only", "stdout-and-stderr-closed"],
+)
+def test_unwritable_stderr_keeps_the_exit_code(redirect, expected):
+    # `2>&-` starts the interpreter with sys.stderr = None; a descriptor 2
+    # open only for reading makes every write to stderr fail with EBADF.
+    # --grid-m 1 is an input error; with stdout closed too, the table cannot
+    # be written either.
+    grid_m = 1 if expected == cli.EXIT_INPUT_ERROR else 3
+    result = subprocess.run(
+        ["sh", "-c", f'exec "$0" -m rankone.cli greens --which dd --grid-m {grid_m} {redirect}', sys.executable],
+        env=_subprocess_env(), capture_output=True, text=True, stdin=subprocess.DEVNULL,
+    )
+    assert result.returncode == expected
+    assert result.stdout == "" and result.stderr == ""
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from rankone import _lapack
 from rankone.core import (
     DenseOperator,
     DimensionMismatchError,
@@ -79,18 +80,35 @@ def test_invert_diagonal():
 def test_invert_residual_seeded():
     rng = np.random.default_rng(3)
     a = random_operator(rng, 8)
-    x = invert(a)
-    assert np.max(np.abs((a @ x).matrix - np.eye(8))) <= 1e-10
+    x = invert(a).matrix
+    assert np.max(np.abs(a.matrix @ x - np.eye(8))) <= 1e-10
 
 
 @pytest.mark.parametrize("dim", [2, 8, 32])
 def test_invert_two_sided_residual(dim):
     rng = np.random.default_rng(dim)
     a = random_operator(rng, dim)
-    x = invert(a)
+    x = invert(a).matrix
     eye = np.eye(dim)
-    assert np.max(np.abs((a @ x).matrix - eye)) <= 1e-10
-    assert np.max(np.abs((x @ a).matrix - eye)) <= 1e-10
+    assert np.max(np.abs(a.matrix @ x - eye)) <= 1e-10
+    assert np.max(np.abs(x @ a.matrix - eye)) <= 1e-10
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 33, 64])
+def test_invert_keeps_its_lu_and_materializes_the_dense_inverse_bit_for_bit(dim):
+    a = random_operator(np.random.default_rng(dim), dim)
+    lu, piv, _ = _lapack.zgetrf(a.matrix)
+    expected, _ = _lapack.zgetrs(lu, piv, np.eye(dim, dtype=complex))
+    inv = invert(a)
+    assert not inv.lu.flags.writeable and not inv.piv.flags.writeable
+    m = inv.matrix
+    assert (m.dtype, m.shape, m.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
+    rng = np.random.default_rng(100 + dim)
+    x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    block = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
+    for got, want in ((inv.apply(x), m @ x), (inv.apply_left(x), x @ m), (inv.apply(block), m @ block)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_invert_singular_raises():

@@ -485,6 +485,25 @@ def test_spectral_point_has_one_home():
     assert rankone.krein.SpectralPoint is laplace.SpectralPoint
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SpectralPoint.from_z(complex(math.nan, 1.0)),
+        lambda: SpectralPoint.from_z(math.nan),
+        lambda: SpectralPoint.from_z(math.inf),
+        lambda: SpectralPoint.from_k(complex(math.nan, 0.0)),
+        lambda: SpectralPoint.from_k(math.inf),
+        lambda: SpectralPoint(z=1.0 + 0j, k=complex(math.nan, 0.0)),
+        lambda: SpectralPoint(z=1.0 + 0j, k=complex(math.inf, 0.0)),
+    ],
+    ids=["z-nan-1", "z-nan", "z-inf", "k-nan", "k-inf", "k-nan-given-z", "k-inf-given-z"],
+)
+def test_spectral_point_refuses_non_finite_z_or_k(build):
+    # The kernels would turn a NaN z into an all-NaN table without an error.
+    with pytest.raises(ValueError):
+        build()
+
+
 # --------------------------------------------------------------------- dn kernel
 
 

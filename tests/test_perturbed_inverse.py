@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -139,6 +141,50 @@ def test_overflowing_pairing_raises_value_error():
         perturbed_inverse(a_inv, form)
     with pytest.raises(ValueError, match="out of floating-point range"):
         solve_perturbed(a_inv, form, Vector([1, 1]))
+
+
+def test_reading_an_overflowing_correction_raises_value_error():
+    # A = I, f = (1e200, 0) and l = (0, 1e200): <l|A^-1 f> = 0, so the update
+    # is regular and both factors are finite, but f_1 l_2 = 1e400 overflows.
+    a_inv = invert(DenseOperator.identity(2))
+    form = RankOneForm(Vector([1e200, 0]), Functional([0, 1e200]))
+    result = perturbed_inverse(a_inv, form)
+    assert isinstance(result, RegularInverse) and result.denominator == 1
+    with pytest.raises(ValueError):
+        result.correction
+    with pytest.raises(ValueError):
+        result.apply_to(a_inv)
+
+
+def test_update_of_an_o_n_resolvent_allocates_no_dense_matrix():
+    # A dense n x n complex correction would take 160 GB here.  A^-1 is the
+    # O(n) resolvent (0 - T_dd)^-1, and f = -e_n / h^2, l = e_n make
+    # B = -T_dd + e_n e_n^T / h^2 = -T_dn.  The bound is that of the discrete
+    # commands at this n: 96 complex n-vectors.
+    n = 100_000
+    pair_ = discretize.build_pair(n)
+    h = pair_.grid.h
+    form = RankOneForm(Vector.basis(n - 1, n) * (-1.0 / h**2), Functional.basis(n - 1, n))
+    w = Vector(np.random.default_rng(5).standard_normal(n))
+    tracemalloc.start()
+    try:
+        a_inv = discretize.resolvent(pair_.t_dd, 0.0)
+        result = perturbed_inverse(a_inv, form)
+        v = solve_perturbed(a_inv, form, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * n * 16
+    assert isinstance(result, RegularInverse)
+    # B v = w through the stencil: -T_dn v - w, relative to the sizes of its terms.
+    residual = np.max(np.abs(-pair_.t_dn.apply(v.entries) - w.entries))
+    scale = 4.0 / h**2 * np.max(np.abs(v.entries)) + np.max(np.abs(w.entries))
+    assert residual <= 1e-12 * scale
+    # B^-1 w from the kept factors agrees with the solve.
+    factored = a_inv.apply(w.entries) + result.left.entries * (
+        complex(np.dot(result.right.weights, w.entries)) / result.denominator
+    )
+    assert np.max(np.abs(factored - v.entries)) <= 1e-12 * np.max(np.abs(v.entries))
 
 
 def test_certificate_accepts_kernel_vector():
