@@ -127,8 +127,10 @@ class Operator:
     coordinate arrays, and a ``matrix`` property holding the dense n x n
     array of A.  Only :class:`DenseOperator` stores that array; the others
     materialize it on demand, at O(n^2) memory or more, for oracles and
-    small sizes.  ``op @ Vector`` and ``Functional @ op`` go through the
-    actions, and ``a - b`` is the lazy :class:`OperatorDifference`.
+    small sizes.  ``apply`` and, except on a :class:`DenseOperator`,
+    ``apply_left`` also take an n x k block and act on each of its columns.
+    ``op @ Vector`` and ``Functional @ op`` go through the actions, and
+    ``a - b`` is the lazy :class:`OperatorDifference`.
     """
 
     dim: int
@@ -178,6 +180,40 @@ class OperatorDifference(Operator):
     @property
     def matrix(self) -> np.ndarray:
         return self.a.matrix - self.b.matrix
+
+
+@dataclass(frozen=True, eq=False)
+class LowRankProduct(Operator):
+    """left @ right, an n x k ``left`` times a k x n ``right``, kept as its two read-only factors.
+
+    Each action is two thin products, O(nk); ``matrix`` is their one n x n
+    product.  k = 0 is the zero operator.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+
+    def __post_init__(self):
+        for name in ("left", "right"):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), 2, allow_empty=True))
+        if self.right.shape != self.left.shape[::-1] or self.left.shape[0] == 0:
+            raise DimensionMismatchError(
+                f"factors must be n x k and k x n with n >= 1, got {self.left.shape} and {self.right.shape}"
+            )
+
+    @property
+    def dim(self) -> int:
+        return self.left.shape[0]
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self.left @ (self.right @ x)
+
+    def apply_left(self, w: np.ndarray) -> np.ndarray:
+        return self.right.T @ (self.left.T @ w)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.left @ self.right
 
 
 @dataclass(frozen=True)
@@ -231,14 +267,16 @@ class DenseOperator(Operator):
 class FactoredInverse(Operator):
     """An inverse kept as a factorization and applied by solves.
 
-    An implementation gives ``dim`` and ``_solve(b, trans)``, which solves
-    with the factored matrix (``trans`` "N") or its transpose ("T", no
-    conjugation) for a vector or each column of a block b.  The column
-    action is one solve, the row action one transposed solve, and
-    ``matrix`` solves against the identity.
+    An implementation gives ``dim`` and ``_solve(b, trans, overwrite)``,
+    which solves with the factored matrix (``trans`` "N") or its transpose
+    ("T", no conjugation) for a vector or each column of a block b, into b
+    itself when ``overwrite`` is true and b suits LAPACK (complex,
+    Fortran-ordered).  The column action is one solve, the row action one
+    transposed solve, and ``matrix`` solves into an identity it owns: one
+    n x n array.
     """
 
-    def _solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+    def _solve(self, b: np.ndarray, trans: str = "N", overwrite: bool = False) -> np.ndarray:
         raise NotImplementedError
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -249,7 +287,7 @@ class FactoredInverse(Operator):
 
     @property
     def matrix(self) -> np.ndarray:
-        return self._solve(np.eye(self.dim, dtype=complex, order="F"))
+        return self._solve(np.eye(self.dim, dtype=complex, order="F"), overwrite=True)
 
 
 # zgetrs's integer code of each transpose flag.
@@ -267,10 +305,10 @@ class LUInverse(FactoredInverse):
     def dim(self) -> int:
         return self.lu.shape[0]
 
-    def _solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+    def _solve(self, b: np.ndarray, trans: str = "N", overwrite: bool = False) -> np.ndarray:
         from . import _lapack
 
-        return _lapack.zgetrs(self.lu, self.piv, b, trans=_GETRS_TRANS[trans])[0]
+        return _lapack.zgetrs(self.lu, self.piv, b, trans=_GETRS_TRANS[trans], overwrite_b=overwrite)[0]
 
 
 @dataclass(frozen=True)

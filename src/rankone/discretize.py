@@ -10,10 +10,13 @@ Both matrices are tridiagonal and are kept as their three diagonals.
 Every routine here acts in O(n) time and memory (O(n log n) for the
 sine projection of the denominator, one complex FFT per factor):
 resolvents are tridiagonal LU factorizations applied by solves, the
-inverse difference is the difference of two of them, and the
+inverse difference R_dd(0) - R_dn(0) = R_dd(0)(t_dd - t_dn)R_dn(0) is
+kept as two thin factors (one column and one row on the testbed, from two
+solves), so each of its actions is two vector passes, and the
 Dirichlet-Dirichlet eigenpairs and the Dirichlet-Neumann eigenvalues are
 used in closed form.  Each operator's dense ``matrix`` is materialized
-only when asked for, by solving against the identity.  A resolvent
+only when asked for: a resolvent's by solving against the identity, the
+inverse difference's as the product of its factors.  A resolvent
 refuses z on the spectrum.  For a Hermitian T, such as both testbed
 operators, it proves z clear of the spectrum by |Im z| or by one Sturm
 count (LAPACK ``dstebz``, O(n)).  Only when that proof fails (z near an
@@ -30,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import FactoredInverse, Functional, Operator, RankOneForm, Vector, _frozen_array
+from .core import FactoredInverse, Functional, LowRankProduct, Operator, RankOneForm, Vector, _frozen_array
 
 
 # scipy's wrappers of the LAPACK tridiagonal routines reject fewer rows.
@@ -78,7 +81,8 @@ class Tridiagonal(Operator):
     """Square tridiagonal operator stored as its three diagonals.
 
     ``lower`` and ``upper`` hold the n - 1 entries below and above the
-    main diagonal ``diag``.  Both actions cost O(n).
+    main diagonal ``diag``.  Both actions cost O(n) per vector, and each
+    acts on every column of an n x k block.
     """
 
     lower: np.ndarray
@@ -109,16 +113,23 @@ class Tridiagonal(Operator):
         return self.diag.shape[0]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        y = self.diag * x
-        y[:-1] += self.upper * x[1:]
-        y[1:] += self.lower * x[:-1]
+        lower, diag, upper = self._row_scales(x)
+        y = diag * x
+        y[:-1] += upper * x[1:]
+        y[1:] += lower * x[:-1]
         return y
 
     def apply_left(self, w: np.ndarray) -> np.ndarray:
-        y = self.diag * w
-        y[1:] += self.upper * w[:-1]
-        y[:-1] += self.lower * w[1:]
+        lower, diag, upper = self._row_scales(w)
+        y = diag * w
+        y[1:] += upper * w[:-1]
+        y[:-1] += lower * w[1:]
         return y
+
+    def _row_scales(self, x: np.ndarray) -> tuple:
+        """The three diagonals shaped to scale the rows of x, a vector or an n x k block."""
+        shape = (-1,) + (1,) * (np.ndim(x) - 1)
+        return tuple(b.reshape(shape) for b in (self.lower, self.diag, self.upper))
 
     def norm_max(self) -> float:
         return float(max(np.max(np.abs(b), initial=0.0) for b in (self.lower, self.diag, self.upper)))
@@ -146,13 +157,15 @@ class TridiagonalResolvent(FactoredInverse):
     dim: int
     factors: tuple
 
-    def _solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+    def _solve(self, b: np.ndarray, trans: str = "N", overwrite: bool = False) -> np.ndarray:
         from . import _lapack
 
+        if b.size == 0:  # scipy's zgttrs wrapper corrupts the heap on an n x 0 block
+            return np.zeros(b.shape, dtype=complex)
         pad = self.factors[1].shape[0] - self.dim
         if pad:
             b = np.concatenate((b, np.zeros((pad,) + b.shape[1:], dtype=complex)))
-        return _lapack.zgttrs(*self.factors, b, trans=trans)[0][: self.dim]
+        return _lapack.zgttrs(*self.factors, b, trans=trans, overwrite_b=overwrite)[0][: self.dim]
 
 
 @dataclass(frozen=True)
@@ -189,14 +202,36 @@ def build_pair(n: int) -> DiscretePair:
     )
 
 
-def inverse_difference(pair: DiscretePair) -> Operator:
-    """D = t_dn^-1 - t_dd^-1 = R_dd(0) - R_dn(0), exactly rank-one by the single-entry matrix difference.
+def inverse_difference(pair: DiscretePair) -> LowRankProduct:
+    """D = t_dn^-1 - t_dd^-1 = R_dd(0) - R_dn(0), kept as two thin factors.
 
-    Returned as the difference of the two tridiagonal factorizations at
-    z = 0: applying D to a vector, from either side, is two O(n) solves,
-    and ``D.matrix`` is materialized only on demand.
+    The second resolvent identity gives D = R_dd(0) Delta R_dn(0) with
+    Delta = t_dd - t_dn.  Delta vanishes outside the rows and columns S
+    where a stored diagonal of t_dd differs from t_dn's, so with E_S the
+    identity's columns at S,
+
+        D = left @ right,   left = R_dd(0) Delta E_S (n x |S|),
+                            right = E_S^T R_dn(0) (|S| x n).
+
+    On :func:`build_pair`'s pair Delta = (1/h^2) e_n e_n^T, S = {n} and D
+    has rank one exactly.  Both resolvents are factored at z = 0 as in
+    :func:`resolvent`, so a spectrum hit raises :class:`SpectrumHitError`;
+    forming the factors costs 2|S| O(n) solves, once.  Each action of D
+    after that is two vector passes, no solve, and ``D.matrix`` is one
+    n x n outer product.  The rank of D is that of Delta, read from the
+    stored operators, so a Delta of rank two gives a D of rank two.
     """
-    return resolvent(pair.t_dd, 0.0) - resolvent(pair.t_dn, 0.0)
+    t_dd, t_dn = pair.t_dd, pair.t_dn
+    r_dd, r_dn = resolvent(t_dd, 0.0), resolvent(t_dn, 0.0)
+    differs = t_dd.diag != t_dn.diag
+    off = (t_dd.lower != t_dn.lower) | (t_dd.upper != t_dn.upper)
+    differs[:-1] |= off
+    differs[1:] |= off
+    support = np.flatnonzero(differs)
+    e_s = np.zeros((t_dd.dim, support.size), dtype=complex, order="F")
+    e_s[support, np.arange(support.size)] = 1.0
+    left = r_dd.apply(t_dd.apply(e_s) - t_dn.apply(e_s))
+    return LowRankProduct(left, r_dn.apply_left(e_s).T)
 
 
 def resolvent(t: Tridiagonal, z: complex) -> TridiagonalResolvent:

@@ -7,15 +7,17 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rankone
 from rankone import cli
-from rankone.core import DenseOperator, OperatorDifference
+from rankone.core import DenseOperator, LowRankProduct, OperatorDifference
 from rankone.discretize import Tridiagonal, TridiagonalResolvent
 from rankone.krein import BISECTION_RTOL
 
@@ -462,7 +464,7 @@ def test_discrete_commands_never_form_a_matrix(command, monkeypatch):
     def refuse(*args):
         raise AssertionError("dense matrix formed")
 
-    for cls in (Tridiagonal, TridiagonalResolvent, OperatorDifference):
+    for cls in (Tridiagonal, TridiagonalResolvent, OperatorDifference, LowRankProduct):
         monkeypatch.setattr(cls, "matrix", property(refuse))
     monkeypatch.setattr(DenseOperator, "__post_init__", refuse)
     code, _ = run_cli([*command, "--n", "200"])
@@ -490,6 +492,46 @@ def test_discrete_commands_at_large_n_allocate_no_dense_matrix(command):
     else:
         assert table["max_abs_dev_factored_vs_brute"] <= 1e-8
         assert table["max_abs_dev_factor_free_vs_brute"] <= 1e-8
+
+
+# ------------------------------------------------------ exit-code contract
+
+
+_Z_PARTS = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e300, 5e-324, -2.2e-308, 0.0, -0.0]),
+    st.floats(min_value=-400.0, max_value=400.0),
+)
+
+
+@st.composite
+def _cli_argv(draw):
+    """argv of one command with a z of extreme parts, --n in [-3, 5000], --count in [-1, 100], --grid-m in [-1, 4]."""
+    parts = draw(st.lists(_Z_PARTS, min_size=1, max_size=2))
+    z = ",".join(repr(v) for v in parts)
+    n = str(draw(st.integers(-3, 5000)))
+    count = str(draw(st.integers(-1, 100)))
+    grid_m = str(draw(st.integers(-1, 4)))
+    which = draw(st.sampled_from(["dd", "dn", "diff"]))
+    return draw(st.sampled_from([
+        ["greens", "--which", which, "--grid-m", grid_m],
+        ["greens", "--which", which, "--z", z, "--grid-m", grid_m],
+        ["eigs", "--method", draw(st.sampled_from(["analytic", "denominator", "discrete"])), "--count", count, "--n", n],
+        ["resolvent-diff", "--source", "analytic", "--z", z, "--grid-m", grid_m],
+        ["resolvent-diff", "--source", "discrete", "--z", z, "--n", n],
+        ["recover", "--n", n],
+    ]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cli_argv())
+def test_every_argv_exits_with_a_documented_code_and_no_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert "nan" not in out.getvalue().lower()
 
 
 # ------------------------------------------------------------- determinism

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from rankone import discretize, laplace, probing
+from rankone import discretize, laplace, probing, verification
 from rankone.core import Functional, RankOneForm, Vector, invert
 from rankone.discretize import (
     CLEARANCE,
@@ -255,12 +255,20 @@ def _skewed_tridiagonal(n: int) -> Tridiagonal:
 
 
 def _assert_actions_match(op, oracle: np.ndarray):
-    """op @ x and w @ op against the dense oracle, within 1e-13 |oracle|_max |x|_1."""
-    rng = np.random.default_rng(oracle.shape[0])
-    x, w = (_complex_uniform(rng, oracle.shape[0]) for _ in range(2))
+    """op @ x, w @ op and both block actions against the dense oracle, within 1e-13 |oracle|_max |x|_1.
+
+    The block is n x 3; its |x|_1 is that of its largest column.
+    """
+    n = oracle.shape[0]
+    rng = np.random.default_rng(n)
+    x, w = (_complex_uniform(rng, n) for _ in range(2))
     scale = 1e-13 * np.abs(oracle).max() * np.abs(x).sum()
     assert_allclose((op @ Vector(x)).entries, oracle @ x, rtol=0, atol=scale)
     assert_allclose((Functional(w) @ op).weights, w @ oracle, rtol=0, atol=scale)
+    block = np.column_stack([_complex_uniform(rng, n) for _ in range(3)])
+    scale = 1e-13 * np.abs(oracle).max() * np.abs(block).sum(axis=0).max()
+    assert_allclose(op.apply(block), oracle @ block, rtol=0, atol=scale)
+    assert_allclose(op.apply_left(block), oracle.T @ block, rtol=0, atol=scale)
 
 
 @pytest.mark.parametrize("n", [2, 3, 50])
@@ -286,6 +294,114 @@ def test_inverse_difference_actions_match_dense_inverses(n):
     pair = build_pair(n)
     oracle = np.linalg.inv(pair.t_dn.matrix) - np.linalg.inv(pair.t_dd.matrix)
     _assert_actions_match(inverse_difference(pair), oracle)
+
+
+def _resolvent_difference_oracle(pair) -> np.ndarray:
+    return resolvent(pair.t_dd, 0.0).matrix - resolvent(pair.t_dn, 0.0).matrix
+
+
+@pytest.mark.parametrize("n", [2, 3, 20, 200, 1000])
+def test_factored_inverse_difference_matches_the_resolvent_difference(n):
+    pair = build_pair(n)
+    d = inverse_difference(pair)
+    oracle = _resolvent_difference_oracle(pair)
+    assert (d.left.shape, d.right.shape) == ((n, 1), (1, n))
+    rng = np.random.default_rng(n)
+    x = _complex_uniform(rng, n)
+    block = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+    for got, want in (
+        (d.matrix, oracle),
+        (d.apply(x), oracle @ x),
+        (d.apply_left(x), x @ oracle),
+        (d.apply(block), oracle @ block),
+        (d.apply_left(block), oracle.T @ block),
+    ):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_equal_stencils_give_the_zero_inverse_difference():
+    # S is empty: both factors are n x 0, and no zgttrs call sees an empty block.
+    base = build_pair(5)
+    d = inverse_difference(discretize.DiscretePair(base.grid, base.t_dd, base.t_dd, base.f_vec, base.l_fun))
+    assert (d.left.shape, d.right.shape) == ((5, 0), (0, 5))
+    assert not d.matrix.any() and not d.apply(np.ones((5, 2))).any()
+    with pytest.raises(probing.ZeroDifferenceError):
+        probing.choose_probe(d)
+
+
+def _zgttrs_calls(monkeypatch) -> list:
+    from rankone import _lapack
+
+    calls = []
+    solve = _lapack.zgttrs
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(_lapack, "zgttrs", counted)
+    return calls
+
+
+def test_actions_of_the_inverse_difference_run_no_tridiagonal_solve(monkeypatch):
+    pair = build_pair(1000)
+    d = inverse_difference(pair)
+    z = 1.5 + 0.5j
+    r1 = resolvent(pair.t_dd, z)
+    calls = _zgttrs_calls(monkeypatch)
+    probe = probing.choose_probe(d)
+    probing.recover_factors(d, probe)
+    assert len(calls) == 0
+    probing.resolvent_difference_factor_free(r1, z, d, probe)
+    assert len(calls) == 2  # R1 applied to D f0 and to l0 D
+
+
+def test_a_rank_two_stencil_difference_is_refused():
+    # t_dn also differs from t_dd in its last off-diagonal entries, so
+    # Delta = t_dd - t_dn has rank two on its trailing 2 x 2 block.
+    base = build_pair(20)
+    off = base.t_dn.lower.copy()
+    off[-1] *= 0.5
+    pair = discretize.DiscretePair(
+        base.grid, base.t_dd, Tridiagonal(off, base.t_dn.diag, off), base.f_vec, base.l_fun
+    )
+    d = inverse_difference(pair)
+    assert d.left.shape == (20, 2)
+    assert_allclose(d.matrix, _resolvent_difference_oracle(pair), rtol=0, atol=1e-13 * np.abs(d.matrix).max())
+    with pytest.raises(probing.NotRankOneError):
+        probing.recover_factors(d, probing.choose_probe(d))
+    assert verification.rank_one_measure(d, np.random.default_rng(0)) > 1e-10
+
+
+def test_dense_matrices_of_the_inverse_difference_and_a_resolvent_are_one_array():
+    n = 1500
+    pair = build_pair(n)
+    d = inverse_difference(pair)
+    r1 = resolvent(pair.t_dd, 0.0)
+    for op in (d, r1):
+        tracemalloc.start()
+        try:
+            op.matrix
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 16
+
+
+@pytest.mark.parametrize("n", [2, 3, 20, 200])
+def test_resolvent_materializes_its_dense_matrix_bit_for_bit(n):
+    from rankone import _lapack
+
+    pair = build_pair(n)
+    for t in (pair.t_dd, pair.t_dn, _skewed_tridiagonal(n)):
+        for z in (0.0, 1.5 - 2.0j):
+            r = resolvent(t, z)
+            rows = r.factors[1].shape[0]
+            eye = np.eye(rows, n, dtype=complex)  # the identity, padded to LAPACK's rows
+            expected = _lapack.zgttrs(*r.factors, eye)[0][:n]
+            m = r.matrix
+            assert (m.dtype, m.shape, m.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
 
 
 def _gauged_recovered_denominator(n: int):

@@ -9,7 +9,7 @@ import pytest
 import scipy.integrate
 
 from rankone import cli, discretize, krein, laplace, verification
-from rankone.core import Operator, OperatorDifference
+from rankone.core import LowRankProduct, Operator, OperatorDifference
 
 
 @pytest.mark.parametrize("n", [100, 400])
@@ -51,7 +51,8 @@ def test_exact_rank_one_check_never_forms_the_matrix(monkeypatch):
     def refuse(self):
         raise AssertionError("D.matrix materialized")
 
-    monkeypatch.setattr(OperatorDifference, "matrix", property(refuse))
+    for cls in (OperatorDifference, LowRankProduct):
+        monkeypatch.setattr(cls, "matrix", property(refuse))
     assert verification.check_exact_rank_one(verification.DEFAULT_SEED).passed
 
 
