@@ -146,16 +146,21 @@ class Tridiagonal(Operator):
 
 @dataclass(frozen=True, eq=False)
 class TridiagonalResolvent(FactoredInverse):
-    """(z - T)^-1 of a tridiagonal T, kept as the LU factors of z - T.
+    """(z - T)^-1 of a tridiagonal T, kept as T and the LU factors of z - T.
 
     ``factors`` is what LAPACK ``zgttrf`` returns, (dl, d, du, du2, ipiv),
     for z - T padded to at least _LAPACK_MIN_DIM rows (see
     :func:`resolvent`).  Each action is one O(n) ``zgttrs`` solve, the row
     action a transposed one; ``matrix`` solves against the identity, O(n^2).
+    ``t`` serves the Krein update, which applies (z - T)^-1 T.
     """
 
-    dim: int
+    t: Tridiagonal
     factors: tuple
+
+    @property
+    def dim(self) -> int:
+        return self.t.dim
 
     def _solve(self, b: np.ndarray, trans: str = "N", overwrite: bool = False) -> np.ndarray:
         from . import _lapack
@@ -273,7 +278,7 @@ def resolvent(t: Tridiagonal, z: complex) -> TridiagonalResolvent:
         rcond, _ = _lapack.zgtcon(*factors, anorm)
         if rcond < RCOND_TOL:
             raise SpectrumHitError(f"z={z} hits the discrete spectrum (rcond {rcond:.3e})")
-    return TridiagonalResolvent(t.dim, tuple(factors))
+    return TridiagonalResolvent(t, tuple(factors))
 
 
 def _clear_of_spectrum(t: Tridiagonal, z: complex, anorm: float) -> bool:
@@ -335,7 +340,7 @@ def discrete_new_eigenvalues(pair: DiscretePair, count: int) -> list[float]:
 def krein_denominator_function(
     pair: DiscretePair, form: "RankOneForm | None" = None
 ) -> Callable[[complex], complex]:
-    """Fast discrete denominator D(z) = 1 + z <l|(-I + z R_dd(z)) f>.
+    """Fast discrete denominator D(z) = 1 + z <l|R_dd(z) t_dd f>.
 
     Uses the pair's sampled factors unless an explicit rank-one form is
     given (e.g. factors recovered from the inverse difference).  The
@@ -345,25 +350,27 @@ def krein_denominator_function(
     complex discrete sine transform each, O(n log n), and turns every
     evaluation into an O(n) sum, which keeps root bracketing cheap:
 
-        D(z) = 1 + z(-<l|f> + z * sum_j c_j / (z - lambda_j)),
+        D(z) = 1 + z sum_j c_j lambda_j / (z - lambda_j),
         c_j = <l|v_j><v_j|f>.
 
-    The real and imaginary parts of the c_j are kept as the rows of one
-    real 2 x n array, so a real z is summed in real arithmetic and a
-    complex z in complex arithmetic by the same expression.
+    That is the spectral form of R_dd t_dd = -I + z R_dd, which the Krein
+    update applies (``krein``): no term cancels, so D keeps its digits at
+    every |z|.  The real and imaginary parts of the weights c_j lambda_j
+    are kept as the rows of one real 2 x n array, so a real z is summed in
+    real arithmetic and a complex z in complex arithmetic by the same
+    expression.
     """
     f = form.f if form is not None else pair.f_vec
     l = form.l if form is not None else pair.l_fun
     lam = dd_eigenvalues(pair)
     s_l, s_f = _sine_transform(np.stack((l.weights, f.entries)))
-    coeff = 2.0 * pair.grid.h * s_l * s_f
-    parts = np.stack((coeff.real, coeff.imag))
-    lf = complex(np.dot(l.weights, f.entries))
+    weights = 2.0 * pair.grid.h * s_l * s_f * lam
+    parts = np.stack((weights.real, weights.imag))
 
     def d_fn(z: complex) -> complex:
         # tolist() hands back Python scalars, whose arithmetic is cheaper than numpy's.
         re, im = (parts @ (1.0 / (z - lam))).tolist()
-        return complex(1.0 + z * (-lf + z * (re + 1j * im)))
+        return complex(1.0 + z * (re + 1j * im))
 
     return d_fn
 

@@ -1,20 +1,26 @@
 """Resolvent difference of two operators whose inverse difference is rank-one.
 
-With T2^-1 - T1^-1 = |f><l| and R1(z) = (z - T1)^-1, the difference of
-resolvents is again rank-one:
+With T2^-1 - T1^-1 = |f><l| and R1(z) = (z - T1)^-1,
+
+    z T2^-1 - I = (z T1^-1 - I) + z |f><l|,   (z T1^-1 - I)^-1 = R1 T1,
+
+so (z - T2)^-1 - (z - T1)^-1 is the Sherman-Morrison update of
+A^-1 = R1 T1 with c = -z, divided by z (``perturbed_inverse``):
 
     (z - T2)^-1 - (z - T1)^-1
-        = - (-I + z R1)|f><l|(-I + z R1) / (1 + z <l|(-I + z R1) f>).
+        = - R1 T1 |f><l| R1 T1 / (1 + z <l|R1 T1 f>).
 
-Zeros of the scalar denominator are the eigenvalues introduced by the
-perturbation.  They are located on the real axis with one bracket per
-interval between consecutive poles of R1, narrowed by Chandrupatla's
-hybrid of inverse quadratic interpolation and bisection (T. R.
-Chandrupatla, Adv. Eng. Software 28(3), 1997, 145-149).  That finds every
-root not within NUDGE_RTOL * |z| of a pole when each such interval holds
-at most one, which the interlacing theorem for rank-one modifications
-guarantees when the denominator is c + sum_j w_j / (z - lambda_j) with
-every w_j >= 0 (self-adjoint T1, l proportional to the conjugate of f).
+R1 T1 = -I + z R1, applied as R1 (T1 x): no term of size ||x|| cancels,
+so the denominator keeps its digits at every |z|, where -x + z R1 x loses
+them like |z| eps.  Zeros of the scalar denominator are the eigenvalues
+introduced by the perturbation.  They are located on the real axis with
+one bracket per interval between consecutive poles of R1, narrowed by
+Chandrupatla's hybrid of inverse quadratic interpolation and bisection
+(T. R. Chandrupatla, Adv. Eng. Software 28(3), 1997, 145-149).  That finds
+every root not within NUDGE_RTOL * |z| of a pole when each such interval
+holds at most one, which the interlacing theorem for rank-one
+modifications guarantees when the denominator is c + sum_j w_j / (z - lambda_j)
+with every w_j >= 0 (self-adjoint T1, l proportional to the conjugate of f).
 """
 
 from __future__ import annotations
@@ -26,9 +32,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import DenseOperator, Functional, Operator, RankOneForm, Vector
+from .core import Functional, RankOneForm, Vector
+from .discretize import TridiagonalResolvent
 # Unused here; kept importable from this module because bench/workloads.py imports it so.
 from .laplace import SpectralPoint
+from .perturbed_inverse import RankOneTerm, update_denominator
 
 # Each pole interval (a, b) is read at its ends moved inward by
 # NUDGE_RTOL * max(|a|, |b|); a root closer to a pole is not seen.  Relative
@@ -36,7 +44,6 @@ from .laplace import SpectralPoint
 # its poles (laplace.POLE_RTOL), and below its j-th pole b - a is ~2|z|/j.
 NUDGE_RTOL = 1e-11
 BISECTION_RTOL = 1e-12
-_EPS = float(np.finfo(float).eps)
 
 
 class EigenvalueHitError(ArithmeticError):
@@ -44,23 +51,13 @@ class EigenvalueHitError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class ResolventDifference:
-    """Factored form of (z - T2)^-1 - (z - T1)^-1.
+class ResolventDifference(RankOneTerm):
+    """Factored form of (z - T2)^-1 - (z - T1)^-1: -|left><right| / denominator.
 
-    Materializes to -|left><right| / denominator.
+    left = R1 T1 f, right = <l|R1 T1 and denominator = 1 + z <l|R1 T1 f>.
     """
 
-    left: Vector
-    right: Functional
-    denominator: complex
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """-left <right|x> / denominator from the factors, for a vector x or each column of a block x."""
-        return np.multiply.outer(self.left.entries, self.right.weights @ x) / -self.denominator
-
-    def materialize(self) -> DenseOperator:
-        scale = complex(-1.0 / self.denominator)
-        return DenseOperator(np.outer(self.left.entries, self.right.weights) * scale)
+    SIGN = -1.0
 
 
 @dataclass(frozen=True)
@@ -71,60 +68,25 @@ class EigenPair:
     k: complex
 
 
-def deflect(r1: Operator, z: complex, f: Vector) -> Vector:
-    """Apply (-I + z R1) to f."""
-    return Vector(-f.entries + r1.apply(f.entries) * complex(z))
+def deflect(r1: TridiagonalResolvent, f: Vector) -> Vector:
+    """(-I + z R1) f = R1 (T1 f), for r1 = (z - T1)^-1 from ``discretize.resolvent``."""
+    return Vector(r1.apply(r1.t.apply(f.entries)))
 
 
-def default_tol(z: complex, f_norm: float, l_norm: float, deflected_norm: float) -> float:
-    """Eigenvalue-hit band of the denominator 1 + z <l|(-I + z R1) f>.
-
-    1e-10 (1 + |z| ||l|| ||(-I + z R1) f||) scales with the two terms the
-    denominator sums, and stays bounded as |z| grows, where (-I + z R1) f
-    shrinks like T f / z.  Forming (-I + z R1) f cancels terms of size
-    ||f||, so the rounding bound 16 eps |z| ||l|| ||f|| is added: a
-    denominator that is zero to working precision, as at |z| >~ 1e17 on
-    the testbed, is refused as well.
-    """
-    z_abs = abs(z)
-    return 1e-10 * (1.0 + z_abs * l_norm * deflected_norm) + 16.0 * _EPS * z_abs * l_norm * f_norm
-
-
-def resolvent_difference(r1: Operator, z: complex, p: RankOneForm) -> ResolventDifference:
+def resolvent_difference(r1: TridiagonalResolvent, z: complex, p: RankOneForm) -> ResolventDifference:
     """Rank-one factorization of (z - T2)^-1 - (z - T1)^-1.
 
-    ``r1`` must be (z - T1)^-1 at this z.  Raises
-    :class:`EigenvalueHitError` when the scalar denominator is inside
-    the :func:`default_tol` band around zero.
+    ``r1`` must be ``discretize.resolvent(t1, z)`` at this z: the update
+    applies A^-1 = R1 T1 through its ``t``.  Raises
+    :class:`EigenvalueHitError` when the denominator is inside the band of
+    ``perturbed_inverse.update_denominator``.
     """
-    return _difference(r1, complex(z), p.f.entries, p.l.weights, 1.0)
-
-
-def _difference(
-    r1: Operator, z: complex, f: np.ndarray, l: np.ndarray, pairing: complex
-) -> ResolventDifference:
-    """The Krein difference for the rank-one form |f><l| / ``pairing``.
-
-    The one body of :func:`resolvent_difference` (pairing 1) and of the
-    probing path's factor-free difference (f = D f0, l = l0 D and pairing
-    <l0|D f0>).  The denominator 1 + z <l|(-I + z R1) f> / pairing is
-    refused inside the :func:`default_tol` band, taken on the factors of
-    the scaled form.
-    """
-    left = r1.apply(f) * z - f
-    den = 1.0 + z * complex(np.dot(l, left)) / pairing
-    scale = abs(pairing)
-    tol = default_tol(
-        z, float(np.linalg.norm(f)) / scale, float(np.linalg.norm(l)), float(np.linalg.norm(left)) / scale
-    )
-    if abs(den) <= tol:
-        raise EigenvalueHitError(
-            f"denominator {den:.3e} vanishes at z={z}: z is a new eigenvalue"
-        )
-    right = r1.apply_left(l) * z - l
-    return ResolventDifference(
-        left=Vector(left * complex(1.0 / pairing)), right=Functional(right), denominator=den
-    )
+    z = complex(z)
+    u, den, band = update_denominator(lambda x: r1.apply(r1.t.apply(x)), p.f.entries, p.l.weights, -z)
+    if abs(den) <= band:
+        raise EigenvalueHitError(f"denominator {den:.3e} vanishes at z={z}: z is a new eigenvalue")
+    right = r1.t.apply_left(r1.apply_left(p.l.weights))
+    return ResolventDifference(left=Vector(u), right=Functional(right), denominator=den)
 
 
 def find_new_eigenvalues(

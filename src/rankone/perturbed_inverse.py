@@ -1,25 +1,25 @@
-"""Rank-one update of a known inverse.
+"""Rank-one update of a known inverse: the one Sherman-Morrison body.
 
-Given A^-1 and a rank-one form (f, l), the perturbed operator is
-B = A - |f><l|.  When the scalar 1 - <l|A^-1 f> is nonzero, B is
-invertible and
+Given the action of A^-1 and a rank-one form (f, l), B = A - c|f><l| has
 
-    B^-1 - A^-1 = A^-1 f <l| A^-1 / (1 - <l|A^-1 f>).
+    B^-1 - A^-1 = c A^-1 f <l| A^-1 / (1 - c <l|A^-1 f>)
 
-When the scalar vanishes, B annihilates A^-1 f, which is then a
-nonzero null vector.  The update only ever applies A^-1, to f and to l:
-:class:`RegularInverse` keeps the factors (A^-1 f, <l|A^-1, denominator),
-so an update costs two actions of A^-1 plus O(n), and O(n) memory when
-A^-1 is an O(n) resolvent.  The dense correction is formed only when
-``correction`` is read, and reading it raises ValueError when the outer
-product of two finite factors overflows.  Linear systems B v = w are
-solved with two applications of A^-1, never forming B^-1.
+when the denominator is nonzero (W. W. Hager, "Updating the inverse of a
+matrix", SIAM Review 31, 1989); when it vanishes, A^-1 f is a null vector
+of B.  :func:`update_denominator` is the one place that computes the
+denominator and its band.  :func:`perturbed_inverse` and
+:func:`solve_perturbed` call it with c = 1, and the Krein difference of
+resolvents (``krein``) with A^-1 = R1 T1 and c = -z.  Each caller forms
+<l|A^-1 only on the regular branch, so an update costs two actions of
+A^-1 plus O(n): O(n) time and memory when A^-1 is an O(n) resolvent.
+Dense matrices are formed only when ``materialize`` is called.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -31,24 +31,37 @@ class SingularPerturbationError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class RegularInverse:
-    """Invertible branch, kept factored: B^-1 = A^-1 + |left><right| / denominator.
+class RankOneTerm:
+    """The rank-one operator SIGN |left><right| / denominator, kept as its factors.
 
-    left = A^-1 f and right = <l|A^-1.  ``correction`` and ``apply_to``
-    build dense n x n matrices, for oracles and small sizes, only when
-    called; both raise ValueError when the outer product overflows.
+    ``apply`` acts on a vector or on each column of a block.
+    ``materialize`` forms the dense n x n matrix, for oracles and small
+    sizes, and raises ValueError when the outer product of the two finite
+    factors overflows.
     """
 
     left: Vector
     right: Functional
     denominator: complex
+    SIGN: ClassVar[float] = 1.0
 
-    @property
-    def correction(self) -> DenseOperator:
-        """The rank-one term |left><right| / denominator as a dense matrix."""
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return np.multiply.outer(self.left.entries, self.right.weights @ x) / (self.SIGN * self.denominator)
+
+    def materialize(self) -> DenseOperator:
         with np.errstate(over="ignore", invalid="ignore"):  # DenseOperator rejects an overflow
-            product = np.outer(self.left.entries, self.right.weights) * complex(1.0 / self.denominator)
+            product = np.outer(self.left.entries, self.right.weights) * complex(self.SIGN / self.denominator)
         return DenseOperator(product)
+
+
+@dataclass(frozen=True)
+class RegularInverse(RankOneTerm):
+    """Invertible branch, kept factored: B^-1 = A^-1 + |left><right| / denominator.
+
+    left = A^-1 f, right = <l|A^-1 and denominator = 1 - <l|A^-1 f>.
+    """
+
+    correction = property(RankOneTerm.materialize, doc="The rank-one term B^-1 - A^-1 as a dense matrix.")
 
     def apply_to(self, a_inv: Operator) -> DenseOperator:
         """The dense B^-1 = A^-1 + correction."""
@@ -68,52 +81,62 @@ PerturbedInverseResult = RegularInverse | SingularInverse
 CERTIFICATE_RTOL = 1e-9
 
 
-def default_tol(l_a_inv_f: complex) -> float:
-    """Relative band around the singular manifold: 1e-10 * (1 + |<l|A^-1 f>|)."""
-    return 1e-10 * (1.0 + abs(l_a_inv_f))
+def update_denominator(
+    apply: Callable[[np.ndarray], np.ndarray], f: np.ndarray, l: np.ndarray, c: complex
+) -> tuple[np.ndarray, complex, float]:
+    """u = A^-1 f, den = 1 - c <l|u> and the singular band of B = A - c|f><l|.
 
-
-def _pairing(a_inv: Operator, p: RankOneForm) -> tuple[np.ndarray, complex]:
-    """A^-1 f and <l|A^-1 f>; ValueError when the pairing or its modulus overflowed.
-
-    An infinite pairing would widen the band of :func:`default_tol` to
-    infinity and report an invertible B as singular, and a NaN one would
-    reach the singular branch.  The check rejects both, so numpy's
-    overflow warnings would only repeat that error.
+    ``apply`` is the action of A^-1.  B counts as singular, and its update
+    as undefined, when |den| <= band = 1e-10 (1 + |c| ||l|| ||u||): the band
+    scales with the two terms den sums, so it is invariant under
+    (A, c) -> (sA, sc) and under the gauge (f, l) -> (af, l/a).  Raises
+    ValueError when c <l|u> is out of floating-point range: an infinite den
+    would report a zero update and a NaN one either branch.  The check
+    rejects both, so numpy's overflow warnings would only repeat that error.
     """
-    _check_dims(a_inv.dim, p.dim)
     with np.errstate(over="ignore", invalid="ignore"):
-        u = a_inv.apply(p.f.entries)
-        l_u = complex(np.dot(p.l.weights, u))
-    if not math.isfinite(math.hypot(l_u.real, l_u.imag)):
-        raise ValueError(f"<l|A^-1 f> = {l_u} is out of floating-point range")
-    return u, l_u
+        u = apply(f)
+        c_l_u = c * complex(np.dot(l, u))
+        # 1e-10 goes first so that the band overflows only where it exceeds every finite den.
+        band = 1e-10 + 1e-10 * abs(c) * _norm(l) * _norm(u)
+    if not math.isfinite(math.hypot(c_l_u.real, c_l_u.imag)):
+        raise ValueError(f"c <l|A^-1 f> = {c_l_u} is out of floating-point range")
+    return u, 1.0 - c_l_u, band
+
+
+def _norm(x: np.ndarray) -> float:
+    """||x||_2, rescaled by max |x_i| when the sum of squares overflows (entries >~ 1e154)."""
+    norm = math.sqrt(np.vdot(x, x).real)
+    if math.isinf(norm):
+        scale = float(np.max(np.abs(x)))
+        norm = scale * float(np.linalg.norm(x / scale))
+    return norm
 
 
 def denominator(a_inv: Operator, p: RankOneForm) -> complex:
     """The update scalar 1 - <l|A^-1 f>; ValueError when <l|A^-1 f> overflows."""
-    return 1.0 - _pairing(a_inv, p)[1]
+    _check_dims(a_inv.dim, p.dim)
+    return update_denominator(a_inv.apply, p.f.entries, p.l.weights, 1.0)[1]
 
 
 def perturbed_inverse(a_inv: Operator, p: RankOneForm) -> PerturbedInverseResult:
     """Invert B = A - |f><l| given A^-1, or certify B singular.
 
     Returns :class:`RegularInverse` carrying the factors A^-1 f and
-    <l|A^-1 and the denominator when |denominator| > :func:`default_tol`,
-    else :class:`SingularInverse` carrying the null vector A^-1 f.  Two
-    actions of A^-1 plus O(n); no n x n array is formed.  Raises
-    ValueError when A^-1 f, <l|A^-1 f> or <l|A^-1 overflows.
+    <l|A^-1 and the denominator when |denominator| is outside the band of
+    :func:`update_denominator`, else :class:`SingularInverse` carrying the
+    null vector A^-1 f.  Two actions of A^-1 plus O(n); no n x n array is
+    formed.  Raises ValueError when A^-1 f, <l|A^-1 f> or <l|A^-1 overflows.
     """
-    u_entries, l_u = _pairing(a_inv, p)
-    u = Vector(u_entries)
-    den = 1.0 - l_u
-    if abs(den) > default_tol(l_u):
-        with np.errstate(over="ignore", invalid="ignore"):  # Functional rejects an overflow
-            right = a_inv.apply_left(p.l.weights)
-        return RegularInverse(left=u, right=Functional(right), denominator=den)
-    # f = 0 forces denominator = 1, so this branch implies a nonzero null vector.
-    assert u.norm() > 0.0, "singular branch reached with f = 0"
-    return SingularInverse(null_vector=u)
+    _check_dims(a_inv.dim, p.dim)
+    u, den, band = update_denominator(a_inv.apply, p.f.entries, p.l.weights, 1.0)
+    if abs(den) <= band:
+        # f = 0 forces denominator = 1, so this branch implies a nonzero null vector.
+        assert np.any(u), "singular branch reached with f = 0"
+        return SingularInverse(null_vector=Vector(u))
+    with np.errstate(over="ignore", invalid="ignore"):  # Functional rejects an overflow
+        right = a_inv.apply_left(p.l.weights)
+    return RegularInverse(left=Vector(u), right=Functional(right), denominator=den)
 
 
 def solve_perturbed(a_inv: Operator, p: RankOneForm, w: Vector) -> Vector:
@@ -121,19 +144,18 @@ def solve_perturbed(a_inv: Operator, p: RankOneForm, w: Vector) -> Vector:
 
     Computes c = <l|A^-1 w> / (1 - <l|A^-1 f>) and returns
     v = A^-1 (w + c f) without ever forming B^-1.  Raises
-    :class:`SingularPerturbationError` when the denominator is within
-    :func:`default_tol` of zero, and ValueError when <l|A^-1 f> or the
-    solution overflows.
+    :class:`SingularPerturbationError` when the denominator is inside the
+    band of :func:`update_denominator`, and ValueError when <l|A^-1 f> or
+    the solution overflows.
     """
+    _check_dims(a_inv.dim, p.dim)
     _check_dims(a_inv.dim, w.dim)
-    t_f, l_t_f = _pairing(a_inv, p)
-    t_w = a_inv.apply(w.entries)
-    tol = default_tol(l_t_f)
-    den = 1.0 - l_t_f
-    if abs(den) <= tol:
+    t_f, den, band = update_denominator(a_inv.apply, p.f.entries, p.l.weights, 1.0)
+    if abs(den) <= band:
         raise SingularPerturbationError(
-            f"perturbation denominator {den:.3e} within tolerance {tol:.3e} of zero"
+            f"perturbation denominator {den:.3e} within tolerance {band:.3e} of zero"
         )
+    t_w = a_inv.apply(w.entries)
     c = complex(np.dot(p.l.weights, t_w)) / den
     return Vector(t_w + t_f * c)
 
@@ -147,12 +169,13 @@ def null_space_certificate(a_inv: Operator, p: RankOneForm, v0: Vector) -> bool:
     overflows.
     """
     _check_dims(a_inv.dim, v0.dim)
+    _check_dims(a_inv.dim, p.dim)
     if v0.norm() == 0.0:
         raise ValueError("v0 must be nonzero")
-    u, l_u = _pairing(a_inv, p)
+    u, den, _ = update_denominator(a_inv.apply, p.f.entries, p.l.weights, 1.0)
 
     pairing_ok = abs(pair(p.l, v0)) > CERTIFICATE_RTOL * max(1.0, p.l.norm() * v0.norm())
-    denominator_ok = abs(1.0 - l_u) <= CERTIFICATE_RTOL * (1.0 + abs(l_u))
+    denominator_ok = abs(den) <= CERTIFICATE_RTOL * (1.0 + abs(1.0 - den))
 
     nu, nv = float(np.linalg.norm(u)), v0.norm()
     if nu == 0.0:

@@ -24,7 +24,8 @@ from .core import (
     Vector,
     _check_dims,
 )
-from .krein import ResolventDifference, _difference
+from .discretize import TridiagonalResolvent
+from .krein import ResolventDifference, resolvent_difference
 
 ADMISSIBILITY_RTOL = 1e-12
 RANK_TOL = 1e-10
@@ -157,18 +158,19 @@ def bilinear_value(d: Operator, s: Operator, probe: Probe) -> complex:
 
 
 def resolvent_difference_factor_free(
-    r1: Operator, z: complex, d: Operator, probe: Probe
+    r1: TridiagonalResolvent, z: complex, d: Operator, probe: Probe
 ) -> ResolventDifference:
     """Krein difference using D directly in place of its factors.
 
-    Runs the body of :func:`krein.resolvent_difference` on f = D f0 and
-    l = l0 D with the probe pairing <l0|D f0> as its scale, which is the
-    factorization f1 = D f0 / <l0|D f0>, l1 = l0 D; the returned factors
-    span the same rank-one operator as the factor-based path.  R1 is only
-    ever applied to D f0 and l0 D, so the cost is a handful of actions:
-    O(n) on the tridiagonal testbed.
+    Runs :func:`krein.resolvent_difference` on the factorization
+    f1 = D f0 / <l0|D f0>, l1 = l0 D, which spans the same rank-one
+    operator as the factor-based path.  Dividing f rather than the update
+    coefficient c = -z keeps c finite at every finite z.  R1 is only ever
+    applied to D f0 and l0 D, so the cost is a handful of actions: O(n) on
+    the tridiagonal testbed.
     """
     d_f0 = d.apply(probe.f0.entries)
     l0_d = d.apply_left(probe.l0.weights)
     _require_admissible(d, probe, d_f0, l0_d)
-    return _difference(r1, complex(z), d_f0, l0_d, probe.pairing)
+    form = RankOneForm(Vector(d_f0 * complex(1.0 / probe.pairing)), Functional(l0_d))
+    return resolvent_difference(r1, z, form)

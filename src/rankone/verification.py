@@ -242,9 +242,9 @@ def check_eigenvalue_consistency(seed: int):
     exclusions = [float(v) for v in discretize.dd_eigenvalues(pair_) if v < 30.0]
     norm_t2 = pair_.t_dn.norm_max()
     for p in krein.find_new_eigenvalues(d_fn, (0.1, 30.0), 4, exclusions):
-        # ||T2 v - z v|| / ||v|| for the deflected eigenfunction v = (-I + z R1) f
+        # ||T2 v - z v|| / ||v|| for the deflected eigenfunction v = R1 T1 f = (-I + z R1) f
         z = p.z.real
-        v = krein.deflect(discretize.resolvent(pair_.t_dd, z), z, form.f)
+        v = krein.deflect(discretize.resolvent(pair_.t_dd, z), form.f)
         yield (pair_.t_dn @ v - z * v).norm() / v.norm() / norm_t2
 
 

@@ -212,6 +212,16 @@ def test_resolvent_diff_at_large_z_is_no_eigenvalue_hit(z):
     assert table["denominator_re"] == pytest.approx(21.0, rel=1e-5)
 
 
+@pytest.mark.parametrize("z", ["1e16", "-1e20", "1e300"])
+def test_resolvent_diff_at_huge_z_reports_the_limit_denominator(z):
+    # The denominator tends to 1 + <l|T1 f> = n + 1 = 21; -f + z R1 f lost it
+    # to rounding and exited 2, "denominator 5.6e+282 vanishes" at z = 1e300.
+    code, out = run_cli(["resolvent-diff", "--source", "discrete", "--n", "20", f"--z={z}"])
+    assert code == 0
+    table = {r[0]: float(r[1]) for r in parse_csv(out)[1]}
+    assert table["denominator_re"] == pytest.approx(21.0, rel=1e-12)
+
+
 # ----------------------------------------------------------------- perturb
 
 
@@ -282,7 +292,7 @@ def test_perturb_overflow_exits_three_with_one_line(tmp_path, capsys):
     "text",
     [
         "2\n1 0\n0 1\n1e160 1e160\n1e160 0\n",  # |f><l| overflows
-        "2\n1 0\n0 1\n1 1\n1e308 -1e308\n",  # B B^-1 overflows
+        "2\n1 0\n0 1\n1 1\n1e308 -9.99999999e307\n",  # B B^-1 overflows
     ],
     ids=["outer", "product"],
 )

@@ -111,6 +111,20 @@ def test_invert_keeps_its_lu_and_materializes_the_dense_inverse_bit_for_bit(dim)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("k", [3, 7])
+def test_dense_apply_left_reads_a_block_as_columns(k):
+    # Every Operator's row action takes an n x k block column by column,
+    # w_j -> A^T w_j; for k = n a row-wise reading gives a result of the same
+    # shape but the wrong values.
+    rng = np.random.default_rng(k)
+    a = random_operator(rng, 7)
+    block = rng.standard_normal((7, k)) + 1j * rng.standard_normal((7, k))
+    got = a.apply_left(block)
+    want = np.stack([block[:, j] @ a.matrix for j in range(k)], axis=1)
+    assert got.shape == (7, k)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_invert_singular_raises():
     with pytest.raises(SingularMatrixError):
         invert(DenseOperator([[1.0, 1.0], [1.0, 1.0]]))

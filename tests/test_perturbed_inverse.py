@@ -2,10 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rankone import discretize
 from rankone.core import DenseOperator, Functional, RankOneForm, Vector, invert, outer, pair
+from rankone.krein import ResolventDifference
 from rankone.perturbed_inverse import (
     RegularInverse,
     SingularInverse,
@@ -15,7 +18,13 @@ from rankone.perturbed_inverse import (
     perturbed_inverse,
     solve_perturbed,
 )
-from rankone.verification import random_functional, random_vector, regular_instance, singular_instance
+from rankone.verification import (
+    random_functional,
+    random_operator,
+    random_vector,
+    regular_instance,
+    singular_instance,
+)
 
 
 def _identity_form(weight: float) -> tuple[DenseOperator, RankOneForm]:
@@ -144,16 +153,58 @@ def test_overflowing_pairing_raises_value_error():
 
 
 def test_reading_an_overflowing_correction_raises_value_error():
-    # A = I, f = (1e200, 0) and l = (0, 1e200): <l|A^-1 f> = 0, so the update
-    # is regular and both factors are finite, but f_1 l_2 = 1e400 overflows.
-    a_inv = invert(DenseOperator.identity(2))
-    form = RankOneForm(Vector([1e200, 0]), Functional([0, 1e200]))
+    # A^-1 = diag(1, 1e308), f = (2, 0) and l = (0, 1): <l|A^-1 f> = 0, so the
+    # update is regular, far outside the band 1e-10 (1 + ||l|| ||A^-1 f||), and
+    # both factors, (2, 0) and (0, 1e308), are finite, but their product 2e308
+    # overflows.
+    a_inv = DenseOperator(np.diag([1.0, 1e308]))
+    form = RankOneForm(Vector([2, 0]), Functional([0, 1]))
     result = perturbed_inverse(a_inv, form)
     assert isinstance(result, RegularInverse) and result.denominator == 1
     with pytest.raises(ValueError):
         result.correction
     with pytest.raises(ValueError):
         result.apply_to(a_inv)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cls", [RegularInverse, ResolventDifference])
+def test_materializing_an_overflowing_term_raises_without_a_warning(cls):
+    # Finite factors whose outer product, 1e400, overflows: one ValueError, no numpy warning.
+    term = cls(left=Vector([1e200, 0]), right=Functional([0, 1e200]), denominator=1.0)
+    with pytest.raises(ValueError):
+        term.materialize()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 12),
+    delta=st.floats(0.25, 4.0),
+    phase=st.floats(0.0, 2.0 * np.pi),
+)
+def test_branch_flips_at_the_singular_band(seed, dim, delta, phase):
+    # l is scaled so that 1 - <l|A^-1 f> = delta * band * e^(i phase), with
+    # band = 1e-10 (1 + ||l|| ||A^-1 f||).  Both c = 1 callers take the same
+    # branch, and it is the singular one exactly when delta < 1, up to the
+    # rounding of the pairing (~eps / 1e-10 of the band).
+    rng = np.random.default_rng(seed)
+    a_inv = invert(random_operator(rng, dim))
+    f, l0 = random_vector(rng, dim), random_functional(rng, dim)
+    u = a_inv.apply(f.entries)
+    q = complex(np.dot(l0.weights, u))
+    assume(abs(q) > 1e-3 * l0.norm() * np.linalg.norm(u))
+    band = 1e-10 * (1.0 + l0.norm() * np.linalg.norm(u) / abs(q))
+    form = RankOneForm(f, l0 * ((1.0 - delta * band * np.exp(1j * phase)) / q))
+    singular = isinstance(perturbed_inverse(a_inv, form), SingularInverse)
+    try:
+        solve_perturbed(a_inv, form, random_vector(rng, dim))
+        raised = False
+    except SingularPerturbationError:
+        raised = True
+    assert singular == raised
+    if abs(delta - 1.0) > 1e-3:
+        assert singular == (delta < 1.0)
 
 
 def test_update_of_an_o_n_resolvent_allocates_no_dense_matrix():

@@ -187,9 +187,9 @@ def test_recovery_residual_property(seed):
 def test_factor_free_at_zero_is_negated_difference():
     rng = np.random.default_rng(29)
     dim = 6
-    t1 = DenseOperator(np.diag(np.arange(1.0, dim + 1)))
+    t1 = discretize.Tridiagonal(np.zeros(dim - 1), np.arange(1.0, dim + 1), np.zeros(dim - 1))
     d = outer(random_vector(rng, dim), random_functional(rng, dim))
-    r1 = invert(0.0 * DenseOperator.identity(dim) - t1)
+    r1 = discretize.resolvent(t1, 0.0)
     diff = resolvent_difference_factor_free(r1, 0.0, d, choose_probe(d))
     assert_allclose(diff.materialize().matrix, -d.matrix, atol=1e-12)
 
@@ -207,17 +207,19 @@ def test_factor_free_matches_factor_based_path():
 
 
 def test_factor_free_matches_brute_force_on_random_instance():
-    # real entries keep the spectrum near the real axis, so z = 3 + 4j is
-    # safely off both spectra
+    # A complex non-Hermitian tridiagonal T1 with a diagonal shift of 2 dim:
+    # Gershgorin puts its spectrum within 5 of 2 dim = 24, so z = 3 + 4j is
+    # safely off both spectra.
     rng = np.random.default_rng(31)
     dim = 12
-    t1 = DenseOperator(rng.uniform(-1, 1, (dim, dim)) + 2.0 * dim * np.eye(dim))
+    lower, upper = (random_vector(rng, dim - 1).entries for _ in range(2))
+    t1 = discretize.Tridiagonal(lower, random_vector(rng, dim).entries + 2.0 * dim, upper)
     d = 0.01 * outer(random_vector(rng, dim), random_functional(rng, dim))
     t1_inv = invert(t1)
     t2 = invert(DenseOperator(t1_inv.matrix + d.matrix))
     z = 3.0 + 4.0j
     eye = DenseOperator.identity(dim)
-    r1 = invert(z * eye - t1)
+    r1 = discretize.resolvent(t1, z)
     brute = invert(z * eye - t2) - r1
     diff = resolvent_difference_factor_free(r1, z, d, choose_probe(d))
     assert np.max(np.abs(diff.materialize().matrix - brute.matrix)) <= 1e-8
