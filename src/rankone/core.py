@@ -13,7 +13,9 @@ Values are validated where they are built.  The constructors of
 :class:`Vector`, :class:`Functional` and :class:`DenseOperator` copy their
 input, reject empty, misshaped and non-finite arrays, and mark the copy
 read-only, so every value is immutable and every operation is pure and safe
-to call concurrently.  The algorithms in the other modules compute on plain
+to call concurrently.  Finiteness is one C-level count per value.  A
+:class:`DenseOperator` computes its ||.||_max on the first call and keeps
+it, outside its fields.  The algorithms in the other modules compute on plain
 arrays (``entries``, ``weights``, ``apply``, ``apply_left``) and build a
 value only for what they return: one validation per result, none per
 intermediate step.
@@ -21,7 +23,8 @@ intermediate step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -44,7 +47,7 @@ def _frozen_array(values, ndim: int, allow_empty: bool = False) -> np.ndarray:
         raise ValueError(f"expected a {ndim}-d array, got shape {arr.shape}")
     if arr.size == 0 and not allow_empty:
         raise ValueError("dimension must be >= 1")
-    if not np.isfinite(arr).all():
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:  # a C-level count: ndarray.all runs a Python wrapper
         raise ValueError("entries must be finite (no NaN/Inf)")
     arr.flags.writeable = False
     return arr
@@ -61,7 +64,7 @@ class _Coordinates:
     _FIELD: str
 
     def __post_init__(self):
-        object.__setattr__(self, self._FIELD, _frozen_array(self._array, 1))
+        object.__setattr__(self, self._FIELD, _frozen_array(getattr(self, self._FIELD), 1))
 
     @property
     def _array(self) -> np.ndarray:
@@ -69,7 +72,7 @@ class _Coordinates:
 
     @property
     def dim(self) -> int:
-        return self._array.shape[0]
+        return getattr(self, self._FIELD).shape[0]
 
     def norm(self) -> float:
         return float(np.linalg.norm(self._array))
@@ -239,6 +242,14 @@ class DenseOperator(Operator):
         # (w^T A)^T: a vector takes w @ A, ~4x faster than A.T @ w at n = 1000 (OpenBLAS, 2-vCPU Xeon).
         return (w.T @ self.matrix).T
 
+    def norm_max(self) -> float:
+        """Largest entry modulus, computed on the first call and kept outside the fields."""
+        norm = self.__dict__.get("_norm_max")
+        if norm is None:
+            norm = float(np.abs(self.matrix).max())
+            object.__setattr__(self, "_norm_max", norm)
+        return norm
+
     def __matmul__(self, other):
         if isinstance(other, DenseOperator):
             _check_dims(self.dim, other.dim)
@@ -297,19 +308,21 @@ _GETRS_TRANS = {"N": 0, "T": 1}
 
 @dataclass(frozen=True, eq=False)
 class LUInverse(FactoredInverse):
-    """A^-1 of a dense A, kept as ``zgetrf``'s read-only (lu, piv); each solve is one ``zgetrs``."""
+    """A^-1 of a dense A, kept as ``zgetrf``'s read-only (lu, piv); each solve is one ``zgetrs``.
+
+    :func:`invert` passes ``zgetrs`` in, so a solve imports nothing.
+    """
 
     lu: np.ndarray
     piv: np.ndarray
+    zgetrs: Callable = field(repr=False)
 
     @property
     def dim(self) -> int:
         return self.lu.shape[0]
 
     def _solve(self, b: np.ndarray, trans: str = "N", overwrite: bool = False) -> np.ndarray:
-        from . import _lapack
-
-        return _lapack.zgetrs(self.lu, self.piv, b, trans=_GETRS_TRANS[trans], overwrite_b=overwrite)[0]
+        return self.zgetrs(self.lu, self.piv, b, trans=_GETRS_TRANS[trans], overwrite_b=overwrite)[0]
 
 
 @dataclass(frozen=True)
@@ -352,7 +365,7 @@ def outer(f: Vector, l: Functional) -> DenseOperator:
     """Outer product |f><l| with entries f_i * l_j."""
     _check_dims(f.dim, l.dim)
     with np.errstate(over="ignore", invalid="ignore"):  # DenseOperator rejects an overflow
-        product = np.outer(f.entries, l.weights)
+        product = np.multiply.outer(f.entries, l.weights)
     return DenseOperator(product)
 
 
@@ -367,11 +380,11 @@ def invert(a: Operator) -> LUInverse:
     from . import _lapack  # the LAPACK extension loads on first use: most commands never factor
 
     lu, piv, _ = _lapack.zgetrf(a.matrix)
-    pivots = np.abs(np.diag(lu))
-    if np.min(pivots) < PIVOT_RTOL * np.max(pivots):
+    pivots = np.abs(lu.diagonal())
+    if pivots.min() < PIVOT_RTOL * pivots.max():
         raise SingularMatrixError(
-            f"matrix numerically singular: pivot ratio {np.min(pivots) / max(np.max(pivots), 1e-300):.3e}"
+            f"matrix numerically singular: pivot ratio {pivots.min() / max(pivots.max(), 1e-300):.3e}"
         )
     lu.flags.writeable = False
     piv.flags.writeable = False
-    return LUInverse(lu, piv)
+    return LUInverse(lu, piv, _lapack.zgetrs)

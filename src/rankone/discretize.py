@@ -112,24 +112,21 @@ class Tridiagonal(Operator):
     def dim(self) -> int:
         return self.diag.shape[0]
 
+    # Each action works on x.T, which puts the rows of a vector or of an
+    # n x k block on the last axis, so the diagonals broadcast unreshaped.
     def apply(self, x: np.ndarray) -> np.ndarray:
-        lower, diag, upper = self._row_scales(x)
-        y = diag * x
-        y[:-1] += upper * x[1:]
-        y[1:] += lower * x[:-1]
-        return y
+        xt = x.T
+        y = self.diag * xt
+        y[..., :-1] += self.upper * xt[..., 1:]
+        y[..., 1:] += self.lower * xt[..., :-1]
+        return y.T
 
     def apply_left(self, w: np.ndarray) -> np.ndarray:
-        lower, diag, upper = self._row_scales(w)
-        y = diag * w
-        y[1:] += upper * w[:-1]
-        y[:-1] += lower * w[1:]
-        return y
-
-    def _row_scales(self, x: np.ndarray) -> tuple:
-        """The three diagonals shaped to scale the rows of x, a vector or an n x k block."""
-        shape = (-1,) + (1,) * (np.ndim(x) - 1)
-        return tuple(b.reshape(shape) for b in (self.lower, self.diag, self.upper))
+        wt = w.T
+        y = self.diag * wt
+        y[..., 1:] += self.upper * wt[..., :-1]
+        y[..., :-1] += self.lower * wt[..., 1:]
+        return y.T
 
     def norm_max(self) -> float:
         return float(max(np.max(np.abs(b), initial=0.0) for b in (self.lower, self.diag, self.upper)))

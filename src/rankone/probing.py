@@ -107,7 +107,7 @@ def _require_admissible(
         d_max = d.norm_max()
     else:
         l0_d = d.apply_left(probe.l0.weights) if l0_d is None else l0_d
-        span = float(np.max(np.abs(d_f0)) * np.max(np.abs(l0_d)))
+        span = float(np.abs(d_f0).max() * np.abs(l0_d).max())
         d_max = span / abs(probe.pairing) if probe.pairing else np.inf
     if abs(probe.pairing) <= ADMISSIBILITY_RTOL * d_max:
         raise InadmissibleProbeError(
@@ -136,7 +136,7 @@ def recover_factors(d: Operator, probe: Probe) -> RankOneForm:
     d_max = _require_admissible(d, probe, d_f0, l1)
     f1 = d_f0 * complex(1.0 / probe.pairing)
     if isinstance(d, DenseOperator):
-        residual = np.outer(f1, l1)
+        residual = np.multiply.outer(f1, l1)
         residual -= d.matrix
         bound = RANK_TOL * d_max
     else:

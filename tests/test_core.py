@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from rankone.core import (
     DenseOperator,
     DimensionMismatchError,
     Functional,
+    LowRankProduct,
     RankOneForm,
     SingularMatrixError,
     Vector,
@@ -16,6 +19,7 @@ from rankone.core import (
     outer,
     pair,
 )
+from rankone.discretize import Tridiagonal
 from rankone.verification import random_functional, random_operator, random_vector, sketch_rank
 
 
@@ -156,13 +160,48 @@ def test_rank_of_random_outer_products(dim, seed):
     assert sketch_rank(outer(f, l), 1e-10, rng) <= 1
 
 
-def test_values_reject_nonfinite_entries():
-    with pytest.raises(ValueError):
-        Vector([1.0, np.nan])
-    with pytest.raises(ValueError):
-        Functional([np.inf])
-    with pytest.raises(ValueError):
-        DenseOperator([[1.0, np.nan], [0.0, 1.0]])
+# Each value class and array field: (shape of the field, constructor taking it).
+_VALUE_FIELDS = {
+    "Vector": ((3,), Vector),
+    "Functional": ((3,), Functional),
+    "DenseOperator": ((3, 3), DenseOperator),
+    "LowRankProduct.left": ((3, 2), lambda m: LowRankProduct(m, np.ones((2, 3)))),
+    "LowRankProduct.right": ((2, 3), lambda m: LowRankProduct(np.ones((3, 2)), m)),
+    "Tridiagonal.lower": ((2,), lambda b: Tridiagonal(b, np.ones(3), np.ones(2))),
+    "Tridiagonal.diag": ((3,), lambda b: Tridiagonal(np.ones(2), b, np.ones(2))),
+    "Tridiagonal.upper": ((2,), lambda b: Tridiagonal(np.ones(2), np.ones(3), b)),
+}
+
+
+@pytest.mark.parametrize("value_field", sorted(_VALUE_FIELDS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("index", [0, -1])
+def test_values_reject_nonfinite_entries(value_field, bad, part, index):
+    shape, build = _VALUE_FIELDS[value_field]
+    entries = np.ones(shape, dtype=complex)
+    build(entries)  # finite entries are accepted
+    entries.flat[index] = complex(bad, 1.0) if part == "real" else complex(1.0, bad)
+    with pytest.raises(ValueError, match=r"^entries must be finite \(no NaN/Inf\)$"):
+        build(entries)
+
+
+def test_dense_norm_max_is_kept_and_leaves_fields_eq_and_repr_alone():
+    m = np.random.default_rng(5).standard_normal((6, 6)) * (1 + 2j)
+    a = DenseOperator(m)
+    text = repr(a)
+    expected = float(np.max(np.abs(m)))
+    assert [a.norm_max().hex() for _ in range(3)] == [expected.hex()] * 3
+    assert [f.name for f in dataclasses.fields(a)] == ["matrix"]
+    assert repr(a) == text and "norm" not in text
+    for name in ("matrix", "_norm_max"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, name, 0.0)
+    assert a.norm_max().hex() == expected.hex()
+    # eq compares the one field: a 1 x 1 operator whose norm was read equals a fresh one.
+    one = DenseOperator([[3.0 - 4.0j]])
+    assert one.norm_max() == 5.0
+    assert one == DenseOperator([[3.0 - 4.0j]]) and one != DenseOperator([[3.0]])
 
 
 def test_values_reject_empty_and_nonsquare():

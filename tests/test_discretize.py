@@ -278,6 +278,14 @@ def test_tridiagonal_actions_match_dense_matrix(n):
         oracle = t.matrix
         _assert_actions_match(t, oracle)
         assert t.norm_max() == np.abs(oracle).max()
+        # Each column of a block gets the vector action's bytes, in either memory order.
+        block = np.random.default_rng(n).standard_normal((n, 3)) * (1 - 2j)
+        for b in (block, np.asfortranarray(block)):
+            for act in (t.apply, t.apply_left):
+                got = act(b)
+                assert got.shape == b.shape
+                for j in range(3):
+                    assert got[:, j].tobytes() == act(b[:, j]).tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 50])
