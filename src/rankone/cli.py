@@ -295,7 +295,7 @@ def cmd_recover(args) -> OutputRecord:
     record = OutputRecord("recover", params, ["quantity", "value"])
     record.rows = [
         ("reconstruction_residual", float(residual)),
-        ("rank_estimate", verification.sketch_rank(d, 1e-8, np.random.default_rng(CHECK_SEED))),
+        ("rank_estimate", verification.numerical_rank(d_g, 1e-8)),
         ("pairing_re", probe.pairing.real),
         ("pairing_im", probe.pairing.imag),
         ("f_shape_max_dev", f_shape_dev),

@@ -57,8 +57,8 @@ class _Coordinates:
     """One validated, read-only coordinate array: the body shared by Vector and Functional.
 
     A subclass is a frozen dataclass with one array field, named by
-    ``_FIELD``.  Arithmetic only combines values of the same class, so a
-    Vector and a Functional never add.
+    ``_FIELD``.  Subtraction only combines values of the same class, so a
+    Functional is never taken from a Vector.
     """
 
     _FIELD: str
@@ -76,12 +76,6 @@ class _Coordinates:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self._array))
-
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        _check_dims(self.dim, other.dim)
-        return type(self)(self._array + other._array)
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -116,11 +110,6 @@ class Functional(_Coordinates):
     weights: np.ndarray
     _FIELD = "weights"
 
-    def __matmul__(self, op: "Operator") -> "Functional":
-        """Composition self . op, a new row l(A .)."""
-        _check_dims(self.dim, op.dim)
-        return Functional(op.apply_left(self.weights))
-
 
 class Operator:
     """Square linear operator known by its action: the contract of every operator.
@@ -131,9 +120,8 @@ class Operator:
     array of A.  Only :class:`DenseOperator` stores that array; the others
     materialize it on demand, at O(n^2) memory or more, for oracles and
     small sizes.  ``apply`` and ``apply_left`` also take an n x k block
-    and act on each of its columns.  ``op @ Vector`` and ``Functional @ op``
-    go through the actions, and ``a - b`` is the lazy
-    :class:`OperatorDifference`.
+    and act on each of its columns.  ``op @ Vector`` goes through the
+    column action, and ``a - b`` is the lazy :class:`OperatorDifference`.
     """
 
     dim: int
@@ -258,22 +246,9 @@ class DenseOperator(Operator):
             return DenseOperator(product)
         return super().__matmul__(other)
 
-    def __add__(self, other: "DenseOperator") -> "DenseOperator":
-        _check_dims(self.dim, other.dim)
-        return DenseOperator(self.matrix + other.matrix)
-
     def __sub__(self, other: Operator) -> "DenseOperator":
         _check_dims(self.dim, other.dim)
         return DenseOperator(self.matrix - other.matrix)
-
-    def __mul__(self, scalar) -> "DenseOperator":
-        return DenseOperator(self.matrix * complex(scalar))
-
-    __rmul__ = __mul__
-
-    @staticmethod
-    def identity(dim: int) -> "DenseOperator":
-        return DenseOperator(np.eye(dim, dtype=complex))
 
 
 class FactoredInverse(Operator):

@@ -14,7 +14,9 @@ Two oracles stay cheap at the suite's sizes:
   bound 10 sqrt(2/pi) max_i |(I - QQ*) D g_i| over 10 Gaussian probes g_i
   (Halko, Martinsson and Tropp 2011, "Finding structure with randomness",
   sec. 4.3), which bounds |(I - QQ*) D| with probability 1 - 1e-10, over
-  sigma_1 of Q* D.  See :func:`rank_one_measure`.
+  sigma_1 of Q* D.  See :func:`rank_one_measure`; this check is the range
+  finder's only user.  A rank read from an array the caller already has,
+  such as ``recover``'s check block D G, is :func:`numerical_rank`.
 - ``pairing-quadrature`` integrates <l|R f> with 32-node Gauss-Legendre on
   [0, 1]; the integrand is entire, so the rule is exact to roundoff.
 """
@@ -124,7 +126,7 @@ def check_outer_rank_bound(seed: int):
     for dim in (2, 7, 16):
         f = random_vector(rng, dim)
         l = random_functional(rng, dim)
-        yield sketch_rank(outer(f, l), 1e-10, rng)
+        yield numerical_rank(outer(f, l).matrix, 1e-10)
 
 
 # ------------------------------------------------------------ perturbed inverse
@@ -403,35 +405,28 @@ def check_dn_boundary_condition(seed: int):
 # ------------------------------------------------------------- discretize oracle
 
 
-def range_finder(d: Operator, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Q spanning d Omega for SKETCH_RANK Gaussian probes Omega, and the singular values of Q* d.
-
-    2 SKETCH_RANK actions of d; ``d.matrix`` is never formed.  When d has
-    rank at most SKETCH_RANK, those are its singular values up to rounding.
-    """
-    y = np.column_stack([d.apply(g) for g in rng.standard_normal((SKETCH_RANK, d.dim))])
-    q, _ = np.linalg.qr(y)
-    return q, np.linalg.svd(np.array([d.apply_left(c) for c in q.conj().T]), compute_uv=False)
-
-
-def sketch_rank(d: Operator, tol: float, rng: np.random.Generator) -> int:
-    """How many :func:`range_finder` singular values exceed tol times the largest; at most SKETCH_RANK."""
+def numerical_rank(y: np.ndarray, tol: float) -> int:
+    """How many singular values of the array y exceed tol times the largest; 0 when y = 0."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    sigma = range_finder(d, rng)[1]
+    sigma = np.linalg.svd(y, compute_uv=False)
     return int(np.count_nonzero(sigma > tol * sigma[0]))
 
 
 def rank_one_measure(d: Operator, rng: np.random.Generator) -> float:
     """Upper estimate of sigma_2/sigma_1 of d from its actions; ``d.matrix`` is never formed.
 
-    The range finder of the module docstring, :func:`range_finder`.  By
-    Weyl, sigma_2(d) <= sigma_2(Q* d) + |(I - QQ*) d|, and the second term
-    is at most the a-posteriori bound over TEST_PROBES fresh probes with
-    probability 1 - 10^-TEST_PROBES.  The sketch alone underestimates
-    sigma_2.  sigma_1(Q* d) <= sigma_1(d), so the quotient errs high.
+    The range finder of the module docstring: Q spans d Omega for
+    SKETCH_RANK Gaussian probes Omega, and sigma holds the singular values
+    of Q* d.  By Weyl, sigma_2(d) <= sigma_2(Q* d) + |(I - QQ*) d|, and the
+    second term is at most the a-posteriori bound over TEST_PROBES fresh
+    probes with probability 1 - 10^-TEST_PROBES.  The sketch alone
+    underestimates sigma_2.  sigma_1(Q* d) <= sigma_1(d), so the quotient
+    errs high.
     """
-    q, sigma = range_finder(d, rng)
+    y = np.column_stack([d.apply(g) for g in rng.standard_normal((SKETCH_RANK, d.dim))])
+    q, _ = np.linalg.qr(y)
+    sigma = np.linalg.svd(np.array([d.apply_left(c) for c in q.conj().T]), compute_uv=False)
     residual = max(
         float(np.linalg.norm(dg - q @ (q.conj().T @ dg)))
         for dg in (d.apply(g) for g in rng.standard_normal((TEST_PROBES, d.dim)))

@@ -19,8 +19,9 @@ from rankone.core import (
     outer,
     pair,
 )
+from rankone.cli import _check_block
 from rankone.discretize import Tridiagonal
-from rankone.verification import random_functional, random_operator, random_vector, sketch_rank
+from rankone.verification import numerical_rank, random_functional, random_operator, random_vector
 
 
 def test_pair_orthogonal_coordinates():
@@ -73,7 +74,7 @@ def test_outer_acts_as_pairing_on_basis():
 
 
 def test_invert_identity():
-    assert_allclose(invert(DenseOperator.identity(4)).matrix, np.eye(4))
+    assert_allclose(invert(DenseOperator(np.eye(4))).matrix, np.eye(4))
 
 
 def test_invert_diagonal():
@@ -135,20 +136,28 @@ def test_invert_singular_raises():
 
 
 def test_rank_estimate_outer_is_one():
-    assert sketch_rank(outer(Vector([1, 2]), Functional([3, 4])), 1e-10, np.random.default_rng(0)) == 1
+    assert numerical_rank(outer(Vector([1, 2]), Functional([3, 4])).matrix, 1e-10) == 1
 
 
 def test_rank_estimate_zero_matrix():
-    assert sketch_rank(DenseOperator(np.zeros((3, 3))), 1e-10, np.random.default_rng(0)) == 0
+    assert numerical_rank(np.zeros((3, 3)), 1e-10) == 0
 
 
 def test_rank_estimate_identity():
-    assert sketch_rank(DenseOperator.identity(3), 1e-10, np.random.default_rng(0)) == 3
+    assert numerical_rank(np.eye(3), 1e-10) == 3
 
 
 def test_rank_estimate_requires_positive_tol():
     with pytest.raises(ValueError):
-        sketch_rank(DenseOperator.identity(2), 0.0, np.random.default_rng(0))
+        numerical_rank(np.eye(2), 0.0)
+
+
+@pytest.mark.parametrize("n", [3, 50, 1000])
+def test_rank_estimate_of_a_check_block_sees_a_second_component(n):
+    # recover reads its rank from D G on the n x 4 check block: four columns see rank two.
+    rng = np.random.default_rng(n)
+    d = LowRankProduct(rng.standard_normal((n, 2)), rng.standard_normal((2, n)))
+    assert numerical_rank(d.apply(_check_block(n)), 1e-8) == 2
 
 
 @settings(max_examples=25, deadline=None)
@@ -157,7 +166,7 @@ def test_rank_of_random_outer_products(dim, seed):
     rng = np.random.default_rng(seed)
     f = random_vector(rng, dim)
     l = random_functional(rng, dim)
-    assert sketch_rank(outer(f, l), 1e-10, rng) <= 1
+    assert numerical_rank(outer(f, l).matrix, 1e-10) <= 1
 
 
 # Each value class and array field: (shape of the field, constructor taking it).
@@ -215,14 +224,14 @@ def test_values_are_immutable():
     v = Vector([1.0, 2.0])
     with pytest.raises(ValueError):
         v.entries[0] = 5.0
-    a = DenseOperator.identity(2)
+    a = DenseOperator(np.eye(2))
     with pytest.raises(ValueError):
         a.matrix[0, 0] = 5.0
 
 
 def test_vector_and_functional_do_not_mix():
     with pytest.raises(TypeError):
-        Vector([1, 2]) + Functional([1, 2])
+        Vector([1, 2]) - Functional([1, 2])
     with pytest.raises(TypeError):
         Functional([1, 2]) - Vector([1, 2])
 

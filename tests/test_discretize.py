@@ -255,7 +255,7 @@ def _skewed_tridiagonal(n: int) -> Tridiagonal:
 
 
 def _assert_actions_match(op, oracle: np.ndarray):
-    """op @ x, w @ op and both block actions against the dense oracle, within 1e-13 |oracle|_max |x|_1.
+    """op @ x, op.apply_left(w) and both block actions against the dense oracle, within 1e-13 |oracle|_max |x|_1.
 
     The block is n x 3; its |x|_1 is that of its largest column.
     """
@@ -264,7 +264,7 @@ def _assert_actions_match(op, oracle: np.ndarray):
     x, w = (_complex_uniform(rng, n) for _ in range(2))
     scale = 1e-13 * np.abs(oracle).max() * np.abs(x).sum()
     assert_allclose((op @ Vector(x)).entries, oracle @ x, rtol=0, atol=scale)
-    assert_allclose((Functional(w) @ op).weights, w @ oracle, rtol=0, atol=scale)
+    assert_allclose(op.apply_left(w), w @ oracle, rtol=0, atol=scale)
     block = np.column_stack([_complex_uniform(rng, n) for _ in range(3)])
     scale = 1e-13 * np.abs(oracle).max() * np.abs(block).sum(axis=0).max()
     assert_allclose(op.apply(block), oracle @ block, rtol=0, atol=scale)

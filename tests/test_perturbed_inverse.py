@@ -28,7 +28,7 @@ from rankone.verification import (
 
 
 def _identity_form(weight: float) -> tuple[DenseOperator, RankOneForm]:
-    a_inv = DenseOperator.identity(2)
+    a_inv = DenseOperator(np.eye(2))
     return a_inv, RankOneForm(Vector([1, 0]), Functional([weight, 0]))
 
 
@@ -43,7 +43,7 @@ def test_denominator_half():
 
 
 def test_denominator_zero_perturbation():
-    a_inv = DenseOperator.identity(3)
+    a_inv = DenseOperator(np.eye(3))
     form = RankOneForm(Vector(np.zeros(3)), Functional([1, 1, 1]))
     assert denominator(a_inv, form) == 1
 
@@ -144,7 +144,7 @@ def test_overflowing_update_raises_value_error():
 def test_overflowing_pairing_raises_value_error():
     # B = I - |f><l| is invertible, but <l|A^-1 f> = 2e308 overflows; taken
     # as it is, it would widen the tolerance band to infinity and report B singular.
-    a_inv = DenseOperator.identity(2)
+    a_inv = DenseOperator(np.eye(2))
     form = RankOneForm(Vector([1e154, 1e154]), Functional([1e154, 1e154]))
     with pytest.raises(ValueError, match="out of floating-point range"):
         perturbed_inverse(a_inv, form)
