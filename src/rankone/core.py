@@ -1,6 +1,6 @@
 """Foundational value types and dense linear-algebra primitives.
 
-Everything is finite-dimensional and complex: vectors are coordinate
+Everything is finite-dimensional, real or complex: vectors are coordinate
 columns, functionals are coordinate rows, operators are square and known
 by their action (:class:`Operator`); :class:`DenseOperator` is the one
 that stores its matrix.  An inverse is kept as a factorization and applied
@@ -11,14 +11,14 @@ keeps its factors too (``perturbed_inverse.RegularInverse``).
 
 Values are validated where they are built.  The constructors of
 :class:`Vector`, :class:`Functional` and :class:`DenseOperator` copy their
-input, reject empty, misshaped and non-finite arrays, and mark the copy
-read-only, so every value is immutable and every operation is pure and safe
-to call concurrently.  Finiteness is one C-level count per value.  A
-:class:`DenseOperator` computes its ||.||_max on the first call and keeps
-it, outside its fields.  The algorithms in the other modules compute on plain
-arrays (``entries``, ``weights``, ``apply``, ``apply_left``) and build a
-value only for what they return: one validation per result, none per
-intermediate step.
+input (float64 if real, else complex128), reject empty, misshaped and
+non-finite arrays, and mark the copy read-only, so every value is immutable
+and every operation is pure and safe to call concurrently.  Finiteness is
+one C-level count per value.  A :class:`DenseOperator` computes its
+||.||_max on the first call and keeps it, outside its fields.  The
+algorithms in the other modules compute on plain arrays (``entries``,
+``weights``, ``apply``, ``apply_left``) and build a value only for what
+they return: one validation per result, none per intermediate step.
 """
 
 from __future__ import annotations
@@ -41,8 +41,10 @@ class SingularMatrixError(ArithmeticError):
 PIVOT_RTOL = 1e-13
 
 
-def _frozen_array(values, ndim: int, allow_empty: bool = False) -> np.ndarray:
-    arr = np.array(values, dtype=complex, copy=True)
+def _frozen_array(values, ndim: int, allow_empty: bool = False, dtype=None) -> np.ndarray:
+    arr = np.array(values, dtype=dtype, copy=True)
+    if arr.dtype.char not in "dD":  # float64 and complex128 are kept; anything else real becomes float64
+        arr = arr.astype(float if np.isrealobj(arr) else complex)
     if arr.ndim != ndim:
         raise ValueError(f"expected a {ndim}-d array, got shape {arr.shape}")
     if arr.size == 0 and not allow_empty:
@@ -89,15 +91,15 @@ class _Coordinates:
     __rmul__ = __mul__
 
     @classmethod
-    def basis(cls, i: int, dim: int):
-        e = np.zeros(dim, dtype=complex)
+    def basis(cls, i: int, dim: int, dtype=complex):
+        e = np.zeros(dim, dtype=dtype)
         e[i] = 1.0
         return cls(e)
 
 
 @dataclass(frozen=True)
 class Vector(_Coordinates):
-    """Finite-dimensional coordinate vector with complex entries."""
+    """Finite-dimensional coordinate vector with real or complex entries."""
 
     entries: np.ndarray
     _FIELD = "entries"
@@ -254,13 +256,13 @@ class DenseOperator(Operator):
 class FactoredInverse(Operator):
     """An inverse kept as a factorization and applied by solves.
 
-    An implementation gives ``dim`` and ``_solve(b, trans, overwrite)``,
-    which solves with the factored matrix (``trans`` "N") or its transpose
-    ("T", no conjugation) for a vector or each column of a block b, into b
-    itself when ``overwrite`` is true and b suits LAPACK (complex,
-    Fortran-ordered).  The column action is one solve, the row action one
-    transposed solve, and ``matrix`` solves into an identity it owns: one
-    n x n array.
+    An implementation gives ``dim``, the ``dtype`` of its factors and
+    ``_solve(b, trans, overwrite)``, which solves with the factored matrix
+    (``trans`` "N") or its transpose ("T", no conjugation) for a vector or
+    each column of a block b, into b itself when ``overwrite`` is true and b
+    suits LAPACK (of that dtype, Fortran-ordered).  The column action is one
+    solve, the row action one transposed solve, and ``matrix`` solves into an
+    identity it owns, in that dtype: one n x n array.
     """
 
     def _solve(self, b: np.ndarray, trans: str = "N", overwrite: bool = False) -> np.ndarray:
@@ -274,7 +276,7 @@ class FactoredInverse(Operator):
 
     @property
     def matrix(self) -> np.ndarray:
-        return self._solve(np.eye(self.dim, dtype=complex, order="F"), overwrite=True)
+        return self._solve(np.eye(self.dim, dtype=self.dtype, order="F"), overwrite=True)
 
 
 # zgetrs's integer code of each transpose flag.
@@ -291,6 +293,7 @@ class LUInverse(FactoredInverse):
     lu: np.ndarray
     piv: np.ndarray
     zgetrs: Callable = field(repr=False)
+    dtype = property(lambda self: self.lu.dtype)
 
     @property
     def dim(self) -> int:

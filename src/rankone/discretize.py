@@ -21,7 +21,7 @@ refuses z on the spectrum.  For a Hermitian T, such as both testbed
 operators, it proves z clear of the spectrum by |Im z| or by one Sturm
 count (LAPACK ``dstebz``, O(n)).  Only when that proof fails (z near an
 eigenvalue) or T is not Hermitian does it run the costlier condition
-estimate ``zgtcon``.
+estimate ``gtcon``.
 """
 
 from __future__ import annotations
@@ -40,15 +40,15 @@ from .core import FactoredInverse, Functional, LowRankProduct, Operator, RankOne
 _LAPACK_MIN_DIM = 3
 _EPS = np.finfo(float).eps
 # Reciprocal 1-norm condition of z - T below which z counts as a spectrum
-# hit.  At exact eigenvalues of the testbed pair zgtcon gave at most 4.5 eps
-# (n = 3 to 1e5), independent of n; at z = 0 it gives ~0.5/n^2, which stays
-# above this up to n ~ 8e6.  A bound growing with n, such as n * eps, misses
-# hits at n = 3 and refuses z = 0 for t_dn from n ~ 2e5.  zgtcon runs only
-# when the clearance certificate below cannot decide.
+# hit.  At exact eigenvalues of the testbed pair dgtcon and zgtcon both gave
+# at most 4.5 eps (n = 3 to 1e5), independent of n; at z = 0 they give
+# ~0.5/n^2, which stays above this up to n ~ 8e6.  A bound growing with n,
+# such as n * eps, misses hits at n = 3 and refuses z = 0 for t_dn from
+# n ~ 2e5.  gtcon runs only when the clearance certificate below cannot decide.
 RCOND_TOL = 32 * _EPS
 # For Hermitian T, z - T is normal and ||(z - T)^-1||_1 <= sqrt(n) / dist(z, spec T),
 # so dist >= CLEARANCE sqrt(n) RCOND_TOL ||z - T||_1 proves
-# rcond_1(z - T) >= CLEARANCE * RCOND_TOL.  zgtcon's estimate of
+# rcond_1(z - T) >= CLEARANCE * RCOND_TOL.  gtcon's estimate of
 # ||(z - T)^-1||_1 never exceeds the norm, so it would not report a hit there.
 CLEARANCE = 8
 
@@ -81,8 +81,8 @@ class Tridiagonal(Operator):
     """Square tridiagonal operator stored as its three diagonals.
 
     ``lower`` and ``upper`` hold the n - 1 entries below and above the
-    main diagonal ``diag``.  Both actions cost O(n) per vector, and each
-    acts on every column of an n x k block.
+    main diagonal ``diag``, all complex when any one is.  Both actions cost
+    O(n) per vector, and each acts on every column of an n x k block.
     """
 
     lower: np.ndarray
@@ -94,8 +94,9 @@ class Tridiagonal(Operator):
     _sturm: tuple | None = field(init=False, repr=False)
 
     def __post_init__(self):
+        dtype = complex if any(map(np.iscomplexobj, (self.lower, self.diag, self.upper))) else None
         for name in ("lower", "diag", "upper"):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name), 1, allow_empty=True))
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), 1, allow_empty=True, dtype=dtype))
         n = self.diag.shape[0]
         if n == 0 or self.lower.shape[0] != n - 1 or self.upper.shape[0] != n - 1:
             raise ValueError(
@@ -134,7 +135,7 @@ class Tridiagonal(Operator):
     @property
     def matrix(self) -> np.ndarray:
         i = np.arange(self.dim)
-        m = np.zeros((self.dim, self.dim), dtype=complex)
+        m = np.zeros((self.dim, self.dim), dtype=self.diag.dtype)
         m[i, i] = self.diag
         m[i[:-1], i[1:]] = self.upper
         m[i[1:], i[:-1]] = self.lower
@@ -145,15 +146,16 @@ class Tridiagonal(Operator):
 class TridiagonalResolvent(FactoredInverse):
     """(z - T)^-1 of a tridiagonal T, kept as T and the LU factors of z - T.
 
-    ``factors`` is what LAPACK ``zgttrf`` returns, (dl, d, du, du2, ipiv),
-    for z - T padded to at least _LAPACK_MIN_DIM rows (see
-    :func:`resolvent`).  Each action is one O(n) ``zgttrs`` solve, the row
-    action a transposed one; ``matrix`` solves against the identity, O(n^2).
+    ``factors`` is what LAPACK ``gttrf`` returns, (dl, d, du, du2, ipiv), for
+    z - T padded to at least _LAPACK_MIN_DIM rows (see :func:`resolvent`).
+    Each action is one O(n) ``gttrs`` solve in their dtype, the row action a
+    transposed one; ``matrix`` solves against the identity, O(n^2).
     ``t`` serves the Krein update, which applies (z - T)^-1 T.
     """
 
     t: Tridiagonal
     factors: tuple
+    dtype = property(lambda self: self.factors[1].dtype)
 
     @property
     def dim(self) -> int:
@@ -162,12 +164,15 @@ class TridiagonalResolvent(FactoredInverse):
     def _solve(self, b: np.ndarray, trans: str = "N", overwrite: bool = False) -> np.ndarray:
         from . import _lapack
 
-        if b.size == 0:  # scipy's zgttrs wrapper corrupts the heap on an n x 0 block
-            return np.zeros(b.shape, dtype=complex)
+        if b.size == 0:  # scipy's gttrs wrappers corrupt the heap on an n x 0 block
+            return np.zeros(b.shape, dtype=np.result_type(b, self.dtype))
+        if b.dtype.kind == "c" and self.dtype.kind != "c":  # real factors: (Re b_j, Im b_j) columns, one solve
+            parts = self._solve(np.stack((b.real, b.imag), axis=-1).reshape(b.shape[0], -1), trans, True)
+            return np.ascontiguousarray(parts).view(complex).reshape(b.shape)
         pad = self.factors[1].shape[0] - self.dim
         if pad:
-            b = np.concatenate((b, np.zeros((pad,) + b.shape[1:], dtype=complex)))
-        return _lapack.zgttrs(*self.factors, b, trans=trans, overwrite_b=overwrite)[0][: self.dim]
+            b = np.concatenate((b, np.zeros((pad,) + b.shape[1:], dtype=b.dtype)))
+        return _lapack.for_dtype("gttrs", self.dtype)(*self.factors, b, trans, overwrite)[0][: self.dim]
 
 
 @dataclass(frozen=True)
@@ -230,7 +235,7 @@ def inverse_difference(pair: DiscretePair) -> LowRankProduct:
     differs[:-1] |= off
     differs[1:] |= off
     support = np.flatnonzero(differs)
-    e_s = np.zeros((t_dd.dim, support.size), dtype=complex, order="F")
+    e_s = np.zeros((t_dd.dim, support.size), dtype=t_dd.diag.dtype, order="F")
     e_s[support, np.arange(support.size)] = 1.0
     left = r_dd.apply(t_dd.apply(e_s) - t_dn.apply(e_s))
     return LowRankProduct(left, r_dn.apply_left(e_s).T)
@@ -240,15 +245,16 @@ def resolvent(t: Tridiagonal, z: complex) -> TridiagonalResolvent:
     """(z - T)^-1 of a :class:`Tridiagonal` T as one O(n) LU factorization of z - T.
 
     z must be finite (ValueError).  The result applies (z - T)^-1 to a
-    vector by one O(n) solve, from the left by one transposed solve.
+    vector by one O(n) solve, from the left by one transposed solve.  A real
+    T at a real z (Im z = 0) factors with LAPACK's d routines, all else with z.
     Raises :class:`SpectrumHitError` when z - T is singular to working
     precision: a zero pivot, or a reciprocal condition estimate (LAPACK
-    ``zgtcon``, 1-norm, O(n)) below RCOND_TOL.
+    ``gtcon``, 1-norm, O(n)) below RCOND_TOL.
     The estimate, 7 to 16 solves, is skipped when a certificate proves
     rcond_1(z - T) >= CLEARANCE * RCOND_TOL: T Hermitian and
     dist(z, spec T) >= delta = CLEARANCE sqrt(n) RCOND_TOL ||z - T||_1,
     which holds when |Im z| >= delta or when one Sturm count finds no
-    eigenvalue within delta of Re z.  ``zgtcon`` runs for a non-Hermitian
+    eigenvalue within delta of Re z.  ``gtcon`` runs for a non-Hermitian
     T and for z within about delta of an eigenvalue, so the certificate
     changes no decision and no factor.
     """
@@ -257,7 +263,7 @@ def resolvent(t: Tridiagonal, z: complex) -> TridiagonalResolvent:
     z = complex(z)
     if not cmath.isfinite(z):
         raise ValueError(f"z={z} is not finite")
-    lower, diag, upper = -t.lower, z - t.diag, -t.upper
+    lower, diag, upper = -t.lower, (z.real if z.imag == 0 else z) - t.diag, -t.upper
     col_sums = np.abs(diag)
     col_sums[1:] += np.abs(upper)
     col_sums[:-1] += np.abs(lower)
@@ -268,11 +274,11 @@ def resolvent(t: Tridiagonal, z: complex) -> TridiagonalResolvent:
         pad = np.zeros(_LAPACK_MIN_DIM - t.dim)
         lower, upper = np.concatenate((lower, pad)), np.concatenate((upper, pad))
         diag = np.concatenate((diag, pad + anorm))
-    *factors, info = _lapack.zgttrf(lower, diag, upper)
+    *factors, info = _lapack.for_dtype("gttrf", diag.dtype)(lower, diag, upper)
     if info > 0:
         raise SpectrumHitError(f"z={z} hits the discrete spectrum (zero pivot)")
     if not _clear_of_spectrum(t, z, anorm):
-        rcond, _ = _lapack.zgtcon(*factors, anorm)
+        rcond, _ = _lapack.for_dtype("gtcon", diag.dtype)(*factors, anorm)
         if rcond < RCOND_TOL:
             raise SpectrumHitError(f"z={z} hits the discrete spectrum (rcond {rcond:.3e})")
     return TridiagonalResolvent(t, tuple(factors))

@@ -45,11 +45,11 @@ class NotRankOneError(ValueError):
 
 @dataclass(frozen=True)
 class Probe:
-    """Probe pair (f0, l0) with its pairing <l0|D f0>."""
+    """Probe pair (f0, l0) with its pairing <l0|D f0>, a float for a real D."""
 
     f0: Vector
     l0: Functional
-    pairing: complex
+    pairing: float | complex
 
 
 def _test_vector(dim: int) -> np.ndarray:
@@ -75,23 +75,23 @@ def choose_probe(d: Operator) -> Probe:
     is exactly zero, and ValueError when it overflowed.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite D g is refused below
-        d_g = np.abs(d.apply(_test_vector(d.dim)))
-    j = int(d_g.argmax())  # the first NaN, if any
-    max_abs = float(d_g[j])
+        d_g = d.apply(_test_vector(d.dim))
+        j = int(np.abs(d_g).argmax())  # the first NaN, if any
+        max_abs = float(abs(d_g[j]))
     if not math.isfinite(max_abs):
         raise ValueError(f"|D g| = {max_abs} is out of floating-point range")
     if max_abs == 0.0:
         raise ZeroDifferenceError("difference operator is zero")
-    l0 = Functional.basis(j, d.dim)
+    l0 = Functional.basis(j, d.dim, d_g.dtype)  # in D's dtype, so each action of D stays in it
     row = d.apply_left(l0.weights)
     i = int(np.abs(row).argmax())
-    return Probe(f0=Vector.basis(i, d.dim), l0=l0, pairing=complex(row[i]))
+    return Probe(f0=Vector.basis(i, d.dim, d_g.dtype), l0=l0, pairing=row[i].item())
 
 
 def coordinate_probe(d: Operator, i: int, j: int) -> Probe:
-    """Probe with f0 = e_i, l0 = e_j, pairing D_ji (read from the row e_j^T D)."""
-    l0 = Functional.basis(j, d.dim)
-    return Probe(f0=Vector.basis(i, d.dim), l0=l0, pairing=complex(d.apply_left(l0.weights)[i]))
+    """Probe with f0 = e_i, l0 = e_j, real, and pairing D_ji in D's dtype (read from the row e_j^T D)."""
+    l0 = Functional.basis(j, d.dim, float)
+    return Probe(f0=Vector.basis(i, d.dim, float), l0=l0, pairing=d.apply_left(l0.weights)[i].item())
 
 
 def _require_admissible(
@@ -116,6 +116,12 @@ def _require_admissible(
     return d_max
 
 
+def _divide(x: np.ndarray, pairing: float | complex) -> np.ndarray:
+    if abs(pairing) < 2.0**-1000:  # 1 / pairing may overflow: scale it and x by 2^1000 first, which is exact
+        x, pairing = x * 2.0**1000, pairing * 2.0**1000
+    return x * (1.0 / pairing)
+
+
 def recover_factors(d: Operator, probe: Probe) -> RankOneForm:
     """Factor D = |f1><l1| from its action on the probe pair.
 
@@ -134,7 +140,7 @@ def recover_factors(d: Operator, probe: Probe) -> RankOneForm:
     d_f0 = d.apply(probe.f0.entries)
     l1 = d.apply_left(probe.l0.weights)
     d_max = _require_admissible(d, probe, d_f0, l1)
-    f1 = d_f0 * complex(1.0 / probe.pairing)
+    f1 = _divide(d_f0, probe.pairing)
     if isinstance(d, DenseOperator):
         residual = np.multiply.outer(f1, l1)
         residual -= d.matrix
@@ -172,5 +178,5 @@ def resolvent_difference_factor_free(
     d_f0 = d.apply(probe.f0.entries)
     l0_d = d.apply_left(probe.l0.weights)
     _require_admissible(d, probe, d_f0, l0_d)
-    form = RankOneForm(Vector(d_f0 * complex(1.0 / probe.pairing)), Functional(l0_d))
+    form = RankOneForm(Vector(_divide(d_f0, probe.pairing)), Functional(l0_d))
     return resolvent_difference(r1, z, form)

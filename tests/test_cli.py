@@ -483,9 +483,10 @@ def test_discrete_commands_never_form_a_matrix(command, monkeypatch):
 
 @pytest.mark.parametrize("command", DISCRETE_COMMANDS, ids=["recover", "resolvent-diff"])
 def test_discrete_commands_at_large_n_allocate_no_dense_matrix(command):
-    # A dense n x n complex matrix would take 160 GB here.  The bound is 48
-    # complex n-vectors: recover peaks at ~31 and resolvent-diff at ~38.  A
-    # second n x 8 Gaussian sketch for recover's rank would take it to ~55.
+    # A dense n x n complex matrix would take 160 GB here.  The bound is in
+    # complex n-vectors: the real testbed keeps D, its factors and the check
+    # block real, so recover peaks at ~17 and resolvent-diff, whose z is
+    # complex, at ~30.  Both held ~31 and ~38 when every value was complex.
     n = 100_000
     tracemalloc.start()
     try:
@@ -494,7 +495,7 @@ def test_discrete_commands_at_large_n_allocate_no_dense_matrix(command):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak < 48 * n * 16
+    assert peak < {"recover": 24, "resolvent-diff": 36}[command[0]] * n * 16
     table = {r[0]: float(r[1]) for r in parse_csv(out)[1]}
     if command[0] == "recover":
         assert table["reconstruction_residual"] <= 1e-10

@@ -329,7 +329,7 @@ def test_factored_inverse_difference_matches_the_resolvent_difference(n):
 
 
 def test_equal_stencils_give_the_zero_inverse_difference():
-    # S is empty: both factors are n x 0, and no zgttrs call sees an empty block.
+    # S is empty: both factors are n x 0, and no gttrs call sees an empty block.
     base = build_pair(5)
     d = inverse_difference(discretize.DiscretePair(base.grid, base.t_dd, base.t_dd, base.f_vec, base.l_fun))
     assert (d.left.shape, d.right.shape) == ((5, 0), (0, 5))
@@ -338,17 +338,18 @@ def test_equal_stencils_give_the_zero_inverse_difference():
         probing.choose_probe(d)
 
 
-def _zgttrs_calls(monkeypatch) -> list:
+def _lapack_calls(monkeypatch, name: str) -> list:
+    """The names of the d and z LAPACK routines ``name`` called from now on, in call order."""
     from rankone import _lapack
 
     calls = []
-    solve = _lapack.zgttrs
+    for routine in ("d" + name, "z" + name):
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
+        def counted(*args, _routine=routine, _call=getattr(_lapack, routine), **kwargs):
+            calls.append(_routine)
+            return _call(*args, **kwargs)
 
-    monkeypatch.setattr(_lapack, "zgttrs", counted)
+        monkeypatch.setattr(_lapack, routine, counted)
     return calls
 
 
@@ -357,12 +358,12 @@ def test_actions_of_the_inverse_difference_run_no_tridiagonal_solve(monkeypatch)
     d = inverse_difference(pair)
     z = 1.5 + 0.5j
     r1 = resolvent(pair.t_dd, z)
-    calls = _zgttrs_calls(monkeypatch)
+    calls = _lapack_calls(monkeypatch, "gttrs")
     probe = probing.choose_probe(d)
     probing.recover_factors(d, probe)
     assert len(calls) == 0
     probing.resolvent_difference_factor_free(r1, z, d, probe)
-    assert len(calls) == 2  # R1 applied to D f0 and to l0 D
+    assert calls == ["zgttrs"] * 2  # R1 applied to D f0 and to l0 D
 
 
 def test_a_rank_two_stencil_difference_is_refused():
@@ -394,7 +395,8 @@ def test_dense_matrices_of_the_inverse_difference_and_a_resolvent_are_one_array(
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * n * n * 16
+        assert op.matrix.dtype == np.float64
+        assert peak < 1.5 * n * n * 8
 
 
 @pytest.mark.parametrize("n", [2, 3, 20, 200])
@@ -405,11 +407,54 @@ def test_resolvent_materializes_its_dense_matrix_bit_for_bit(n):
     for t in (pair.t_dd, pair.t_dn, _skewed_tridiagonal(n)):
         for z in (0.0, 1.5 - 2.0j):
             r = resolvent(t, z)
+            # The d routines serve a real T at a real z, the z routines the rest.
+            assert r.dtype == (np.complex128 if z or t.diag.dtype == complex else np.float64)
             rows = r.factors[1].shape[0]
-            eye = np.eye(rows, n, dtype=complex)  # the identity, padded to LAPACK's rows
-            expected = _lapack.zgttrs(*r.factors, eye)[0][:n]
+            eye = np.eye(rows, n, dtype=r.dtype)  # the identity, padded to LAPACK's rows
+            expected = _lapack.for_dtype("gttrs", r.dtype)(*r.factors, eye)[0][:n]
             m = r.matrix
             assert (m.dtype, m.shape, m.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
+
+
+def test_real_data_stays_float64_and_complex_data_complex128():
+    pair = build_pair(50)
+    d = inverse_difference(pair)
+    probe = probing.choose_probe(d)
+    form = probing.recover_factors(d, probe)
+    r = resolvent(pair.t_dd, 30.0)
+    assert isinstance(probe.pairing, float)
+    for a in (d.left, d.right, form.f.entries, form.l.weights, *r.factors[:4], r.matrix):
+        assert a.dtype == np.float64
+    assert resolvent(pair.t_dd, 30.0 + 1j).matrix.dtype == np.complex128
+    # The Dirichlet-Neumann stencil with a complex last diagonal entry: D stays rank one, and complex.
+    diag = pair.t_dn.diag.astype(complex)
+    diag[-1] += 0.5j / pair.grid.h**2
+    t_c = Tridiagonal(pair.t_dn.lower, diag, pair.t_dn.upper)
+    d_c = inverse_difference(discretize.DiscretePair(pair.grid, pair.t_dd, t_c, pair.f_vec, pair.l_fun))
+    probe_c = probing.choose_probe(d_c)
+    form_c = probing.recover_factors(d_c, probe_c)
+    r_c = resolvent(t_c, 30.0)
+    assert isinstance(probe_c.pairing, complex)
+    for a in (t_c.lower, t_c.upper, d_c.left, d_c.right, form_c.f.entries, form_c.l.weights, r_c.matrix):
+        assert a.dtype == np.complex128
+    oracle = np.linalg.inv(t_c.matrix) - np.linalg.inv(pair.t_dd.matrix)
+    assert np.max(np.abs(form_c.materialize().matrix - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("n", [2, 3, 50])
+def test_real_factors_solve_a_complex_block_as_complex_factors_do(n):
+    # One d solve of the real and imaginary parts as a 2k-column block; n < 3 pads, k = 0 is empty.
+    t = build_pair(n).t_dn
+    real, cplx = resolvent(t, 1.5), resolvent(Tridiagonal(t.lower.astype(complex), t.diag, t.upper), 1.5)
+    assert (real.dtype, cplx.dtype) == (np.float64, np.complex128)
+    rng = np.random.default_rng(n)
+    for shape in ((n,), (n, 3), (n, 0)):
+        b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for act in ("apply", "apply_left"):
+            got, want = getattr(real, act)(b), getattr(cplx, act)(b)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape) == (np.complex128, shape)
+            scale = np.max(np.abs(want), initial=0.0)
+            assert np.max(np.abs(got - want), initial=0.0) <= 4 * np.finfo(float).eps * scale
 
 
 def _gauged_recovered_denominator(n: int):
@@ -479,26 +524,12 @@ def test_structured_pipeline_at_large_n_allocates_no_dense_matrix():
 # ------------------------------------- spectrum clearance certificate and Sturm count
 
 
-def _zgtcon_calls(monkeypatch) -> list:
-    from rankone import _lapack
-
-    calls = []
-    estimate = _lapack.zgtcon
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return estimate(*args, **kwargs)
-
-    monkeypatch.setattr(_lapack, "zgtcon", counted)
-    return calls
-
-
 @pytest.mark.parametrize("n", [800, 1000, 1200])
 def test_benchmark_resolvents_skip_the_condition_estimate(monkeypatch, n):
     # The dense-krein op: z = 0 for both operators (the inverse difference),
     # a real z in the middle half of a gap of the merged low spectra, and a
     # complex z with 0.5 <= |Im z| <= 20.
-    calls = _zgtcon_calls(monkeypatch)
+    calls = _lapack_calls(monkeypatch, "gtcon")
     pair = build_pair(n)
     inverse_difference(pair)
     edges = np.sort(np.concatenate([[0.0], dd_eigenvalues(pair)[:5], discrete_new_eigenvalues(pair, 5)]))
@@ -512,11 +543,17 @@ def test_benchmark_resolvents_skip_the_condition_estimate(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [30, 200, 1000])
 def test_resolvent_at_an_eigenvalue_runs_the_condition_estimate(monkeypatch, n):
-    calls = _zgtcon_calls(monkeypatch)
+    calls = _lapack_calls(monkeypatch, "gtcon")
     pair = build_pair(n)
+    lam = float(dd_eigenvalues(pair)[0])
     with pytest.raises(SpectrumHitError):
-        resolvent(pair.t_dd, float(dd_eigenvalues(pair)[0]))
-    assert len(calls) >= 1
+        resolvent(pair.t_dd, lam)
+    assert set(calls) == {"dgtcon"}
+    # t_dd + i I is complex and not Hermitian, and lam + i is its eigenvalue.
+    calls.clear()
+    with pytest.raises(SpectrumHitError):
+        resolvent(Tridiagonal(pair.t_dd.lower, pair.t_dd.diag + 1j, pair.t_dd.upper), lam + 1j)
+    assert calls == ["zgtcon"]
 
 
 def _factors_unless_hit(t: Tridiagonal, z: complex):

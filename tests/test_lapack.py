@@ -6,7 +6,7 @@ from rankone.core import invert
 from rankone.discretize import build_pair, dd_eigenvalues, eigenvalue_count, resolvent
 from rankone.verification import random_operator
 
-ROUTINES = ("dstebz", "zgetrf", "zgetrs", "zgtcon", "zgttrf", "zgttrs")
+ROUTINES = ("dstebz", "zgetrf", "zgetrs", "dgtcon", "zgtcon", "dgttrf", "zgttrf", "dgttrs", "zgttrs")
 
 
 def _bits(values) -> list:
@@ -24,7 +24,8 @@ def _results() -> list:
         for z in (1.5 + 0.5j, 30.0, float(lam[0]) + 1e-6):
             r = resolvent(t, z)
             anorm = float(np.max(np.abs(z * np.eye(n) - t.matrix).sum(axis=0)))
-            out += [*r.factors, r.apply(b), r.apply_left(b), _lapack.zgtcon(*r.factors, anorm)[0]]
+            gtcon = _lapack.for_dtype("gtcon", r.dtype)
+            out += [*r.factors, r.apply(b), r.apply_left(b), r.apply(b.real), gtcon(*r.factors, anorm)[0]]
         out += [eigenvalue_count(t, lo, hi) for lo, hi in ((-1.0, float(lam[-1]) / 2), (0.0, 1e9), (5.0, 5.5))]
     for dim in (4, 64):
         out.append(invert(random_operator(np.random.default_rng(dim), dim)).matrix)

@@ -82,6 +82,20 @@ def test_recover_factors_seeded_reconstruction():
     assert dev <= 1e-10 * d.norm_max()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("gauge", [1.0, 1.0 - 2.0j])
+def test_recover_factors_of_a_subnormal_difference(gauge):
+    # D's entries are ~1e-320, subnormal, and 1 / pairing overflows.
+    f = np.array([1.0, 2.0, 3.0, 4.0]) * 1e-160 * gauge
+    d = outer(Vector(f), Functional(np.array([1.0, 1.0, 1.0, 3.0]) * 1e-160))
+    probe = choose_probe(d)
+    assert 0 < abs(probe.pairing) < np.finfo(float).tiny
+    form = recover_factors(d, probe)
+    assert_allclose(form.f.entries, [0.25, 0.5, 0.75, 1.0], rtol=1e-3)
+    assert np.array_equal(form.l.weights, d.matrix[3])
+    assert np.max(np.abs(form.materialize().matrix - d.matrix)) <= 2 * np.finfo(float).smallest_subnormal
+
+
 def test_recover_factors_refuses_higher_rank():
     with pytest.raises(NotRankOneError):
         recover_factors(DenseOperator(np.eye(3)), coordinate_probe(DenseOperator(np.eye(3)), 0, 0))
