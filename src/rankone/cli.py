@@ -189,7 +189,8 @@ def cmd_resolvent_diff(args) -> OutputRecord:
     factor_free = probing.resolvent_difference_factor_free(r1, args.z, d, probe)
     # Brute force: (R_dn - R_dd) G, R_dn from its own factorization of z - t_dn.
     g = _check_block(args.n)
-    brute = discretize.resolvent(pair_.t_dn, args.z).apply(g) - r1.apply(g)
+    brute = discretize.resolvent(pair_.t_dn, args.z).apply(g)
+    brute -= r1.apply(g)
     record = OutputRecord("resolvent-diff", params, ["quantity", "value"])
     record.rows = [
         ("denominator_re", factored.denominator.real),
@@ -284,7 +285,9 @@ def cmd_recover(args) -> OutputRecord:
     form = probing.recover_factors(d, probe)
     g = _check_block(args.n)
     d_g = d.apply(g)
-    residual = np.max(np.abs(d_g - np.outer(form.f.entries, form.l.weights @ g))) / np.max(np.abs(d_g))
+    l_g = form.l.weights @ g  # the misfit takes one column of G at a time: no n x 4 temporary beside D G
+    misfit = max(np.max(np.abs(d_g[:, j] - form.f.entries * l_g[j])) for j in range(l_g.size))
+    residual = misfit / np.max(np.abs(d_g))
 
     x = pair_.grid.nodes
     # Gauge-normalize so the recovered f matches the ramp at the last node.

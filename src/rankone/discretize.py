@@ -18,10 +18,8 @@ used in closed form.  Each operator's dense ``matrix`` is materialized
 only when asked for: a resolvent's by solving against the identity, the
 inverse difference's as the product of its factors.  A resolvent
 refuses z on the spectrum.  For a Hermitian T, such as both testbed
-operators, it proves z clear of the spectrum by |Im z| or by one Sturm
-count (LAPACK ``dstebz``, O(n)).  Only when that proof fails (z near an
-eigenvalue) or T is not Hermitian does it run the costlier condition
-estimate ``gtcon``.
+operators, |Im z| or one Sturm count (LAPACK ``dstebz``, O(n)) decides
+that; only a non-Hermitian T runs the condition estimate ``gtcon``.
 """
 
 from __future__ import annotations
@@ -38,19 +36,13 @@ from .core import FactoredInverse, Functional, LowRankProduct, Operator, RankOne
 
 # scipy's wrappers of the LAPACK tridiagonal routines reject fewer rows.
 _LAPACK_MIN_DIM = 3
-_EPS = np.finfo(float).eps
-# Reciprocal 1-norm condition of z - T below which z counts as a spectrum
-# hit.  At exact eigenvalues of the testbed pair dgtcon and zgtcon both gave
-# at most 4.5 eps (n = 3 to 1e5), independent of n; at z = 0 they give
-# ~0.5/n^2, which stays above this up to n ~ 8e6.  A bound growing with n,
-# such as n * eps, misses hits at n = 3 and refuses z = 0 for t_dn from
-# n ~ 2e5.  gtcon runs only when the clearance certificate below cannot decide.
-RCOND_TOL = 32 * _EPS
-# For Hermitian T, z - T is normal and ||(z - T)^-1||_1 <= sqrt(n) / dist(z, spec T),
-# so dist >= CLEARANCE sqrt(n) RCOND_TOL ||z - T||_1 proves
-# rcond_1(z - T) >= CLEARANCE * RCOND_TOL.  gtcon's estimate of
-# ||(z - T)^-1||_1 never exceeds the norm, so it would not report a hit there.
-CLEARANCE = 8
+# z - T counts as singular (z hits the spectrum) when a Sturm count puts an
+# eigenvalue of a Hermitian T within RCOND_TOL ||z - T||_1 of z, and for any
+# other T when gtcon's reciprocal 1-norm condition estimate lies below
+# RCOND_TOL (at most 4.5 eps at exact testbed eigenvalues, n = 3 to 1e5).
+# The count is backward stable, so its window grows only with ||T||_1 = 4/h^2:
+# at z = 0 it reaches pi^2/4, the lowest eigenvalue of t_dn, near n ~ 9e6.
+RCOND_TOL = 32 * np.finfo(float).eps
 
 
 class SpectrumHitError(ArithmeticError):
@@ -248,15 +240,11 @@ def resolvent(t: Tridiagonal, z: complex) -> TridiagonalResolvent:
     vector by one O(n) solve, from the left by one transposed solve.  A real
     T at a real z (Im z = 0) factors with LAPACK's d routines, all else with z.
     Raises :class:`SpectrumHitError` when z - T is singular to working
-    precision: a zero pivot, or a reciprocal condition estimate (LAPACK
-    ``gtcon``, 1-norm, O(n)) below RCOND_TOL.
-    The estimate, 7 to 16 solves, is skipped when a certificate proves
-    rcond_1(z - T) >= CLEARANCE * RCOND_TOL: T Hermitian and
-    dist(z, spec T) >= delta = CLEARANCE sqrt(n) RCOND_TOL ||z - T||_1,
-    which holds when |Im z| >= delta or when one Sturm count finds no
-    eigenvalue within delta of Re z.  ``gtcon`` runs for a non-Hermitian
-    T and for z within about delta of an eigenvalue, so the certificate
-    changes no decision and no factor.
+    precision: a zero pivot; for a Hermitian T, |Im z| <= reach =
+    RCOND_TOL ||z - T||_1 and one Sturm count (:func:`eigenvalue_count`)
+    finding an eigenvalue in (Re z - reach, Re z + reach]; for any other T, a
+    reciprocal condition estimate (LAPACK ``gtcon``, 1-norm, 7 to 16 solves)
+    below RCOND_TOL.
     """
     from . import _lapack  # the LAPACK extension loads on first use, not on import
 
@@ -277,29 +265,17 @@ def resolvent(t: Tridiagonal, z: complex) -> TridiagonalResolvent:
     *factors, info = _lapack.for_dtype("gttrf", diag.dtype)(lower, diag, upper)
     if info > 0:
         raise SpectrumHitError(f"z={z} hits the discrete spectrum (zero pivot)")
-    if not _clear_of_spectrum(t, z, anorm):
+    if t._sturm is None:
         rcond, _ = _lapack.for_dtype("gtcon", diag.dtype)(*factors, anorm)
         if rcond < RCOND_TOL:
             raise SpectrumHitError(f"z={z} hits the discrete spectrum (rcond {rcond:.3e})")
+    else:
+        reach = RCOND_TOL * anorm
+        # One ulp lower keeps Re z inside (lo, hi] when reach is below its ulp.
+        lo, hi = math.nextafter(z.real - reach, -math.inf), z.real + reach
+        if abs(z.imag) <= reach and eigenvalue_count(t, lo, hi) > 0:
+            raise SpectrumHitError(f"z={z} hits the discrete spectrum (an eigenvalue within {reach:.3e})")
     return TridiagonalResolvent(t, tuple(factors))
-
-
-def _clear_of_spectrum(t: Tridiagonal, z: complex, anorm: float) -> bool:
-    """Whether dist(z, spec T) >= CLEARANCE sqrt(n) RCOND_TOL ``anorm`` is proven for a Hermitian T.
-
-    ``anorm`` = ||z - T||_1 > 0, which the zero-pivot check guarantees.
-    The spectrum is real, so |Im z| bounds the distance from below.
-    Otherwise the Sturm count's window around Re z is widened by the
-    count's backward error, a few eps (|Re z| + ||T||_2), where
-    ||T||_2 <= |z| + anorm.
-    """
-    if t._sturm is None:
-        return False
-    delta = CLEARANCE * math.sqrt(t.dim) * RCOND_TOL * anorm
-    if abs(z.imag) >= delta:
-        return True
-    reach = delta + 32.0 * _EPS * (abs(z) + anorm)
-    return eigenvalue_count(t, z.real - reach, z.real + reach) == 0
 
 
 def eigenvalue_count(t: Tridiagonal, lo: float, hi: float) -> int:
@@ -308,8 +284,9 @@ def eigenvalue_count(t: Tridiagonal, lo: float, hi: float) -> int:
     Two Sturm counts, O(n) each, by LAPACK ``dstebz`` on the real symmetric
     tridiagonal unitarily similar to ``t``; no eigenvalue is computed.  Each
     count is exact for a matrix within a few eps ||T|| of ``t``, so an
-    eigenvalue that close to lo or hi may fall on either side.  ValueError
-    for a non-Hermitian ``t`` or unless lo < hi.
+    eigenvalue that close to lo or hi may fall on either side; that backward
+    stability lets one count decide a Hermitian spectrum hit in
+    :func:`resolvent`.  ValueError for a non-Hermitian ``t`` or unless lo < hi.
     """
     from . import _lapack
 

@@ -485,8 +485,8 @@ def test_discrete_commands_never_form_a_matrix(command, monkeypatch):
 def test_discrete_commands_at_large_n_allocate_no_dense_matrix(command):
     # A dense n x n complex matrix would take 160 GB here.  The bound is in
     # complex n-vectors: the real testbed keeps D, its factors and the check
-    # block real, so recover peaks at ~17 and resolvent-diff, whose z is
-    # complex, at ~30.  Both held ~31 and ~38 when every value was complex.
+    # block real, so recover peaks at ~16 and resolvent-diff, whose z is
+    # complex, at ~28.  Both held ~31 and ~38 when every value was complex.
     n = 100_000
     tracemalloc.start()
     try:

@@ -4,14 +4,13 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rankone import discretize, laplace, probing, verification
 from rankone.core import Functional, RankOneForm, Vector, invert
 from rankone.discretize import (
-    CLEARANCE,
     RCOND_TOL,
     Grid,
     SpectrumHitError,
@@ -521,7 +520,7 @@ def test_structured_pipeline_at_large_n_allocates_no_dense_matrix():
     assert_allclose([p.z.real for p in found], closed_form, rtol=1e-8)
 
 
-# ------------------------------------- spectrum clearance certificate and Sturm count
+# ------------------------------------------------------- spectrum-hit rule and Sturm count
 
 
 @pytest.mark.parametrize("n", [800, 1000, 1200])
@@ -541,27 +540,33 @@ def test_benchmark_resolvents_skip_the_condition_estimate(monkeypatch, n):
     assert calls == []
 
 
+def test_z_0_runs_no_condition_estimate_at_large_n(monkeypatch):
+    # n = 1e6, where a window growing like sqrt(n) ||T|| around z = 0 would
+    # reach the lowest eigenvalue: the Sturm count alone still decides.
+    calls = _lapack_calls(monkeypatch, "gtcon")
+    pair = build_pair(1_000_000)
+    resolvent(pair.t_dd, 0.0)
+    resolvent(pair.t_dn, 0.0)
+    assert calls == []
+
+
 @pytest.mark.parametrize("n", [30, 200, 1000])
-def test_resolvent_at_an_eigenvalue_runs_the_condition_estimate(monkeypatch, n):
+def test_a_hermitian_hit_is_refused_by_the_sturm_count_and_a_non_hermitian_one_by_zgtcon(monkeypatch, n):
     calls = _lapack_calls(monkeypatch, "gtcon")
     pair = build_pair(n)
     lam = float(dd_eigenvalues(pair)[0])
     with pytest.raises(SpectrumHitError):
         resolvent(pair.t_dd, lam)
-    assert set(calls) == {"dgtcon"}
+    assert calls == []
     # t_dd + i I is complex and not Hermitian, and lam + i is its eigenvalue.
-    calls.clear()
     with pytest.raises(SpectrumHitError):
         resolvent(Tridiagonal(pair.t_dd.lower, pair.t_dd.diag + 1j, pair.t_dd.upper), lam + 1j)
     assert calls == ["zgtcon"]
 
 
-def _factors_unless_hit(t: Tridiagonal, z: complex):
-    """The LU factors of resolvent(t, z), or None when it raises SpectrumHitError."""
-    try:
-        return resolvent(t, z).factors
-    except SpectrumHitError:
-        return None
+def _anorm(t: Tridiagonal, z: complex) -> float:
+    """||z - T||_1, from the dense matrix."""
+    return float(np.max(np.sum(np.abs(z * np.eye(t.dim) - t.matrix), axis=0)))
 
 
 @st.composite
@@ -581,28 +586,53 @@ def _tridiagonal_and_z(draw):
         t = Tridiagonal(_complex_uniform(rng, n - 1) * scale, diag + 1j * scale * rng.standard_normal(n), off)
     target = complex(np.linalg.eigvals(t.matrix)[draw(st.integers(0, n - 1))])
     # ||z - T||_1 at z = target; the scale keeps it nonzero where z - T = 0 (n = 1).
-    anorm = max(scale, float(np.max(np.sum(np.abs(target * np.eye(n) - t.matrix), axis=0))))
-    delta = CLEARANCE * np.sqrt(n) * RCOND_TOL * anorm
+    anorm = max(scale, _anorm(t, target))
     if draw(st.booleans()):
         z = target + draw(st.sampled_from([1.0, -1.0, 1j, 100.0 + 100.0j])) * 3.0 * anorm
     else:
-        shift = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, -0.5, -1.0, -2.0]))
-        tiny = draw(st.sampled_from([0.0, 1e-6, -0.25, 0.5, 1.0, -2.0]))
-        z = target + delta * complex(shift, tiny)
+        shift = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0, -0.25, -0.5, -1.0, -3.0]))
+        tiny = draw(st.sampled_from([0.0, 1e-6, -0.25, 0.5, 1.0, -3.0]))
+        z = target + RCOND_TOL * anorm * complex(shift, tiny)
     return t, z
 
 
 @settings(max_examples=300, deadline=None)
 @given(_tridiagonal_and_z())
-def test_certificate_decides_as_the_condition_estimate_alone(case):
-    # With the certificate switched off, resolvent is the zgtcon-only rule.
+def test_a_sturm_count_decides_hermitian_hits_and_gtcon_the_rest(case):
+    # Hermitian T: refused exactly when an eigenvalue lies within reach of z,
+    # with no gtcon call; draws within [0.5, 2] reach of their nearest
+    # eigenvalue are skipped, where the count's backward error or its square
+    # window may fall either side.  Other T: refused exactly when one gtcon
+    # call reads below RCOND_TOL.
+    from rankone import _lapack
+
     t, z = case
-    decided = _factors_unless_hit(t, z)
-    with mock.patch.object(discretize, "_clear_of_spectrum", return_value=False):
-        estimated = _factors_unless_hit(t, z)
-    assert (decided is None) == (estimated is None)
-    if decided is not None:
-        assert all(np.array_equal(a, b) for a, b in zip(decided, estimated))
+    rconds = []
+
+    def recorded(call):
+        def estimate(*args):
+            out = call(*args)
+            rconds.append(out[0])
+            return out
+
+        return estimate
+
+    with mock.patch.multiple(_lapack, dgtcon=recorded(_lapack.dgtcon), zgtcon=recorded(_lapack.zgtcon)):
+        try:
+            resolvent(t, z)
+            refused = False
+        except SpectrumHitError:
+            refused = True
+    if t._sturm is not None:
+        assert rconds == []
+        distance, reach = float(np.min(np.abs(np.linalg.eigvalsh(t.matrix) - z))), RCOND_TOL * _anorm(t, z)
+        assume(not 0.5 * reach < distance < 2.0 * reach)
+        assert refused == (distance <= 0.5 * reach)
+    elif rconds:
+        assert len(rconds) == 1
+        assert refused == (rconds[0] < RCOND_TOL)
+    else:  # a zero pivot, refused before the estimate
+        assert refused
 
 
 @pytest.mark.parametrize("n", [3, 50, 1000, 100_000])
