@@ -551,14 +551,22 @@ def test_z_0_runs_no_condition_estimate_at_large_n(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [30, 200, 1000])
-def test_a_hermitian_hit_is_refused_by_the_sturm_count_and_a_non_hermitian_one_by_zgtcon(monkeypatch, n):
+def test_a_hermitian_hit_is_refused_by_the_sturm_count(monkeypatch, n):
     calls = _lapack_calls(monkeypatch, "gtcon")
     pair = build_pair(n)
     lam = float(dd_eigenvalues(pair)[0])
     with pytest.raises(SpectrumHitError):
         resolvent(pair.t_dd, lam)
     assert calls == []
-    # t_dd + i I is complex and not Hermitian, and lam + i is its eigenvalue.
+
+
+@pytest.mark.parametrize("n", [30, 200, 1000])
+def test_resolvent_at_an_eigenvalue_runs_the_condition_estimate(monkeypatch, n):
+    # t_dd + i I is complex and not Hermitian, and lam + i is its eigenvalue:
+    # no Sturm count applies, so zgtcon refuses it.
+    calls = _lapack_calls(monkeypatch, "gtcon")
+    pair = build_pair(n)
+    lam = float(dd_eigenvalues(pair)[0])
     with pytest.raises(SpectrumHitError):
         resolvent(Tridiagonal(pair.t_dd.lower, pair.t_dd.diag + 1j, pair.t_dd.upper), lam + 1j)
     assert calls == ["zgtcon"]
