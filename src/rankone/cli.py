@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -73,14 +73,7 @@ def emit(record: OutputRecord, fmt: str, stream) -> None:
         for row in record.rows:
             writer.writerow([_fmt(v) for v in row])
     else:
-        payload = {
-            "command": record.command,
-            "parameters": record.parameters,
-            "columns": record.columns,
-            "rows": [list(row) for row in record.rows],
-            "status": record.status,
-        }
-        json.dump(payload, stream, indent=2)
+        json.dump(asdict(record), stream, indent=2)
         stream.write("\n")
 
 
@@ -151,7 +144,6 @@ def _analytic_root_search(count: int) -> list[krein.EigenPair]:
 
 def cmd_eigs(args) -> OutputRecord:
     params = {"count": args.count, "method": args.method, "n": args.n}
-    record = OutputRecord("eigs", params, ["index", "z", "k"])
     if args.method == "analytic":
         points = laplace.dn_eigenvalues(args.count)
         rows = [(i, s.z.real, s.k.real) for i, s in enumerate(points)]
@@ -163,8 +155,7 @@ def cmd_eigs(args) -> OutputRecord:
             raise InputError("--n is required for method 'discrete'")
         values = discretize.discrete_new_eigenvalues(discretize.build_pair(args.n), args.count)
         rows = [(i, z, math.sqrt(z)) for i, z in enumerate(values)]
-    record.rows = rows
-    return record
+    return OutputRecord("eigs", params, ["index", "z", "k"], rows)
 
 
 def cmd_resolvent_diff(args) -> OutputRecord:
@@ -191,15 +182,13 @@ def cmd_resolvent_diff(args) -> OutputRecord:
     g = _check_block(args.n)
     brute = discretize.resolvent(pair_.t_dn, args.z).apply(g)
     brute -= r1.apply(g)
-    record = OutputRecord("resolvent-diff", params, ["quantity", "value"])
-    record.rows = [
+    return OutputRecord("resolvent-diff", params, ["quantity", "value"], [
         ("denominator_re", factored.denominator.real),
         ("denominator_im", factored.denominator.imag),
         ("max_abs_dev_factored_vs_brute", float(np.max(np.abs(factored.apply(g) - brute)))),
         ("max_abs_dev_factor_free_vs_brute", float(np.max(np.abs(factor_free.apply(g) - brute)))),
         ("brute_force_max_abs", float(np.max(np.abs(brute)))),
-    ]
-    return record
+    ])
 
 
 def _read_matrix_file(path: Path, rng: np.random.Generator):
@@ -236,13 +225,11 @@ def _random_perturb_instance(rng: np.random.Generator, dim: int):
 
 
 def cmd_perturb(args) -> OutputRecord:
-    params = {"seed": args.seed, "dim": args.dim, "format": args.format}
+    params = {"seed": args.seed, "dim": args.dim, "format": args.format, "matrix_file": args.matrix_file}
     rng = np.random.default_rng(args.seed)
     if args.matrix_file is not None:
-        params["matrix_file"] = str(args.matrix_file)
         a, form = _read_matrix_file(Path(args.matrix_file), rng)
     else:
-        params["matrix_file"] = None
         a, form = _random_perturb_instance(rng, args.dim)
     try:
         a_inv = invert(a)
@@ -295,23 +282,21 @@ def cmd_recover(args) -> OutputRecord:
     f_shape_dev = float(np.max(np.abs(form.f.entries * factor - x)))
     l_shape_dev = float(np.max(np.abs(form.l.weights * (1.0 / factor) / pair_.grid.h - x)))
 
-    record = OutputRecord("recover", params, ["quantity", "value"])
-    record.rows = [
+    return OutputRecord("recover", params, ["quantity", "value"], [
         ("reconstruction_residual", float(residual)),
         ("rank_estimate", verification.numerical_rank(d_g, 1e-8)),
         ("pairing_re", probe.pairing.real),
         ("pairing_im", probe.pairing.imag),
         ("f_shape_max_dev", f_shape_dev),
         ("l_shape_max_dev", l_shape_dev),
-    ]
-    return record
+    ])
 
 
 def cmd_verify(args) -> OutputRecord:
     params = {"seed": args.seed}
     results = verification.run_all(args.seed)
-    record = OutputRecord("verify", params, ["invariant", "passed", "measured", "threshold"])
-    record.rows = [(r.name, int(r.passed), r.measured, r.threshold) for r in results]
+    rows = [(r.name, int(r.passed), r.measured, r.threshold) for r in results]
+    record = OutputRecord("verify", params, ["invariant", "passed", "measured", "threshold"], rows)
     failures = sum(1 for r in results if not r.passed)
     if failures:
         record.status = {"ok": False, "code": EXIT_INVARIANT_FAILURE,
@@ -335,14 +320,12 @@ def build_parser() -> _Parser:
     p.add_argument("--which", choices=("dd", "dn", "diff"), required=True)
     p.add_argument("--z", type=parse_complex, default=None, help="spectral point RE[,IM]; omit for the static kernel")
     p.add_argument("--grid-m", type=int, default=5)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_greens)
 
     p = sub.add_parser("eigs", help="eigenvalues introduced by the Neumann condition")
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--method", choices=("analytic", "denominator", "discrete"), required=True)
     p.add_argument("--n", type=int, default=None, help="interior nodes (discrete method)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_eigs)
 
     p = sub.add_parser("resolvent-diff", help="resolvent difference, analytic or via the discrete pipeline")
@@ -350,7 +333,6 @@ def build_parser() -> _Parser:
     p.add_argument("--source", choices=("analytic", "discrete"), required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--grid-m", type=int, default=5)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_resolvent_diff)
 
     p = sub.add_parser("perturb", help="rank-one update of an inverse, from file or seeded")
@@ -359,19 +341,18 @@ def build_parser() -> _Parser:
     group.add_argument("--random", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dim", type=int, default=8)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_perturb)
 
     p = sub.add_parser("recover", help="recover rank-one factors of the discrete inverse difference")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_recover)
 
     p = sub.add_parser("verify", help="run the named invariant suite")
     p.add_argument("--seed", type=int, default=verification.DEFAULT_SEED)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_verify)
 
+    for p in sub.choices.values():  # every command takes --format, as its last option
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 

@@ -334,11 +334,12 @@ def krein_denominator_function(
         c_j = <l|v_j><v_j|f>.
 
     That is the spectral form of R_dd t_dd = -I + z R_dd, which the Krein
-    update applies (``krein``): no term cancels, so D keeps its digits at
-    every |z|.  The real and imaginary parts of the weights c_j lambda_j
-    are kept as the rows of one real 2 x n array, so a real z is summed in
-    real arithmetic and a complex z in complex arithmetic by the same
-    expression.
+    update applies (``krein``), with lambda_j in closed form: no term
+    cancels, and D escapes most of the rounding of t_dd f that ``krein``
+    carries (2e-11 against 1e-6 relative at n = 10^6, z = 30).  The real
+    and imaginary parts of the weights c_j lambda_j are kept as the rows of
+    one real 2 x n array, so a real z is summed in real arithmetic and a
+    complex z in complex arithmetic by the same expression.
     """
     f = form.f if form is not None else pair.f_vec
     l = form.l if form is not None else pair.l_fun

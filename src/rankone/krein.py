@@ -11,8 +11,13 @@ A^-1 = R1 T1 with c = -z, divided by z (``perturbed_inverse``):
         = - R1 T1 |f><l| R1 T1 / (1 + z <l|R1 T1 f>).
 
 R1 T1 = -I + z R1, applied as R1 (T1 x): no term of size ||x|| cancels,
-so the denominator keeps its digits at every |z|, where -x + z R1 x loses
-them like |z| eps.  Zeros of the scalar denominator are the eigenvalues
+so the denominator keeps its digits as |z| grows, where -x + z R1 x loses
+them like |z| eps.  It carries instead the rounding of T1 x, about
+eps ||T1|| ||x||, into the denominator and both factors R1 T1 f and
+<l|R1 T1: on the testbed, where ||T1|| ~ 4 n^2, the denominator is 1e-6
+relative off at n = 10^6 and z = 30.
+
+Zeros of the scalar denominator are the eigenvalues
 introduced by the perturbation.  They are located on the real axis with
 one bracket per interval between consecutive poles of R1, narrowed by
 Chandrupatla's hybrid of inverse quadratic interpolation and bisection
@@ -68,9 +73,19 @@ class EigenPair:
     k: complex
 
 
+def _r1t1(r1: TridiagonalResolvent, x: np.ndarray) -> np.ndarray:
+    """A^-1 x = R1 (T1 x), the update's one column action."""
+    return r1.apply(r1.t.apply(x))
+
+
+def _r1t1_left(r1: TridiagonalResolvent, w: np.ndarray) -> np.ndarray:
+    """w A^-1 = (w R1) T1, the update's one row action."""
+    return r1.t.apply_left(r1.apply_left(w))
+
+
 def deflect(r1: TridiagonalResolvent, f: Vector) -> Vector:
     """(-I + z R1) f = R1 (T1 f), for r1 = (z - T1)^-1 from ``discretize.resolvent``."""
-    return Vector(r1.apply(r1.t.apply(f.entries)))
+    return Vector(_r1t1(r1, f.entries))
 
 
 def resolvent_difference(r1: TridiagonalResolvent, z: complex, p: RankOneForm) -> ResolventDifference:
@@ -82,10 +97,10 @@ def resolvent_difference(r1: TridiagonalResolvent, z: complex, p: RankOneForm) -
     ``perturbed_inverse.update_denominator``.
     """
     z = complex(z)
-    u, den, band = update_denominator(lambda x: r1.apply(r1.t.apply(x)), p.f.entries, p.l.weights, -z)
+    u, den, band = update_denominator(lambda x: _r1t1(r1, x), p.f.entries, p.l.weights, -z)
     if abs(den) <= band:
         raise EigenvalueHitError(f"denominator {den:.3e} vanishes at z={z}: z is a new eigenvalue")
-    right = r1.t.apply_left(r1.apply_left(p.l.weights))
+    right = _r1t1_left(r1, p.l.weights)
     return ResolventDifference(left=Vector(u), right=Functional(right), denominator=den)
 
 

@@ -122,6 +122,15 @@ def _divide(x: np.ndarray, pairing: float | complex) -> np.ndarray:
     return x * (1.0 / pairing)
 
 
+def _probe_quotient(d: Operator, probe: Probe) -> tuple[np.ndarray, np.ndarray, float]:
+    """f1 = D f0 / <l0|D f0> and l1 = l0 D for an admissible probe, with ||D||_max."""
+    _check_dims(d.dim, probe.f0.dim)
+    d_f0 = d.apply(probe.f0.entries)
+    l1 = d.apply_left(probe.l0.weights)
+    d_max = _require_admissible(d, probe, d_f0, l1)
+    return _divide(d_f0, probe.pairing), l1, d_max
+
+
 def recover_factors(d: Operator, probe: Probe) -> RankOneForm:
     """Factor D = |f1><l1| from its action on the probe pair.
 
@@ -136,11 +145,7 @@ def recover_factors(d: Operator, probe: Probe) -> RankOneForm:
     must be up to ~sqrt(n) times larger than under the dense gate to be
     refused.
     """
-    _check_dims(d.dim, probe.f0.dim)
-    d_f0 = d.apply(probe.f0.entries)
-    l1 = d.apply_left(probe.l0.weights)
-    d_max = _require_admissible(d, probe, d_f0, l1)
-    f1 = _divide(d_f0, probe.pairing)
+    f1, l1, d_max = _probe_quotient(d, probe)
     if isinstance(d, DenseOperator):
         residual = np.multiply.outer(f1, l1)
         residual -= d.matrix
@@ -175,8 +180,5 @@ def resolvent_difference_factor_free(
     applied to D f0 and l0 D, so the cost is a handful of actions: O(n) on
     the tridiagonal testbed.
     """
-    d_f0 = d.apply(probe.f0.entries)
-    l0_d = d.apply_left(probe.l0.weights)
-    _require_admissible(d, probe, d_f0, l0_d)
-    form = RankOneForm(Vector(_divide(d_f0, probe.pairing)), Functional(l0_d))
-    return resolvent_difference(r1, z, form)
+    f1, l1, _ = _probe_quotient(d, probe)
+    return resolvent_difference(r1, z, RankOneForm(Vector(f1), Functional(l1)))

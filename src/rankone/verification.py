@@ -204,7 +204,8 @@ def check_perturbation_gauge_invariance(seed: int):
 # -------------------------------------------------------------- krein resolvent
 
 
-def _recovered_setup(n: int):
+def recovered_setup(n: int):
+    """(pair, D, probe, form) on the n-node testbed: form holds the factors recovered from D by the probe."""
     pair_ = discretize.build_pair(n)
     d = discretize.inverse_difference(pair_)
     probe = probing.choose_probe(d)
@@ -228,7 +229,7 @@ def check_telescoping_identity(seed: int):
 
 @_invariant("krein-gauge-invariance", 1e-10)
 def check_krein_gauge_invariance(seed: int):
-    pair_, _, _, form = _recovered_setup(40)
+    pair_, _, _, form = recovered_setup(40)
     z = 1.3
     r1 = discretize.resolvent(pair_.t_dd, z)
     base = krein.resolvent_difference(r1, z, form).materialize()
@@ -239,7 +240,7 @@ def check_krein_gauge_invariance(seed: int):
 
 @_invariant("eigenvalue-consistency", 1e-6)
 def check_eigenvalue_consistency(seed: int):
-    pair_, _, _, form = _recovered_setup(200)
+    pair_, _, _, form = recovered_setup(200)
     d_fn = discretize.krein_denominator_function(pair_, form)
     exclusions = [float(v) for v in discretize.dd_eigenvalues(pair_) if v < 30.0]
     norm_t2 = pair_.t_dn.norm_max()
@@ -476,7 +477,7 @@ ALL_CHECKS.append(check_static_kernel_convergence)
 
 @_invariant("krein-cross-check", 1e-8)
 def check_krein_cross_check(seed: int):
-    pair_, d, probe, form = _recovered_setup(100)
+    pair_, d, probe, form = recovered_setup(100)
     for z in (1.0, -4.2, 1.5 + 1.0j):
         r1 = discretize.resolvent(pair_.t_dd, z)
         brute = (discretize.resolvent(pair_.t_dn, z) - r1).matrix

@@ -10,7 +10,6 @@ import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -392,18 +391,6 @@ def test_full_device_on_stdout_exits_four_with_one_line(fmt):
     _assert_cannot_write(result)
 
 
-def _mp_kernel(which, k, x, xi):
-    """Kernel of greens --which (diff also for resolvent-diff) at 30 digits."""
-    with mp.workdps(30):
-        k = mp.mpc(k)
-        a, b = min(x, xi), 1.0 - max(x, xi)
-        if which == "dd":
-            return complex(-mp.sin(k * a) * mp.sin(k * b) / (k * mp.sin(k)))
-        if which == "dn":
-            return complex(-mp.sin(k * a) * mp.cos(k * b) / (k * mp.cos(k)))
-        return complex(-mp.sin(k * x) * mp.sin(k * xi) / (k * mp.sin(k) * mp.cos(k)))
-
-
 @pytest.mark.parametrize(
     "command, z, grid_m",
     [
@@ -415,7 +402,7 @@ def _mp_kernel(which, k, x, xi):
         (["greens", "--which", "dn"], "9.869604401089358", 3),
     ],
 )
-def test_kernel_table_matches_mpmath_below_overflow(command, z, grid_m):
+def test_kernel_table_matches_mpmath_below_overflow(command, z, grid_m, mp_kernel):
     code, out = run_cli(command + [f"--z={z}", "--grid-m", str(grid_m)])
     assert code == 0
     which = command[-1] if command[0] == "greens" else "diff"
@@ -423,7 +410,7 @@ def test_kernel_table_matches_mpmath_below_overflow(command, z, grid_m):
     # the centre dn value is 1.6e-17, and rounding k alone moves it by 23%.
     k = cmath.sqrt(cli.parse_complex(z))
     for x, xi, re, im in parse_csv(out)[1]:
-        exact = _mp_kernel(which, k, float(x), float(xi))
+        exact = mp_kernel(which, k, float(x), float(xi))
         assert abs(complex(float(re), float(im)) - exact) <= 1e-12 * abs(exact), (x, xi)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rankone import discretize, laplace, probing, verification
-from rankone.core import Functional, RankOneForm, Vector, invert
+from rankone.core import RankOneForm, Vector, invert
 from rankone.discretize import (
     RCOND_TOL,
     Grid,
@@ -25,7 +25,6 @@ from rankone.discretize import (
     resolvent,
 )
 from rankone.krein import SpectralPoint, find_new_eigenvalues, resolvent_difference
-from rankone.perturbed_inverse import RegularInverse, perturbed_inverse
 
 
 def test_grid_geometry():
@@ -66,21 +65,6 @@ def test_build_pair_factor_samples():
 def test_build_pair_requires_two_nodes():
     with pytest.raises(ValueError):
         build_pair(1)
-
-
-def test_inverse_difference_matches_ramp_kernel():
-    pair = build_pair(200)
-    diff = inverse_difference(pair)
-    x = pair.grid.nodes
-    dev = np.max(np.abs(diff.matrix / pair.grid.h - np.outer(x, x)))
-    assert dev <= 5 * pair.grid.h
-    # the mirror-ghost scheme actually reproduces x_i x_j exactly
-    assert dev <= 1e-10
-
-
-def test_inverse_difference_is_rank_one():
-    sigma = np.linalg.svd(inverse_difference(build_pair(64)).matrix, compute_uv=False)
-    assert np.count_nonzero(sigma > 1e-8 * sigma[0]) == 1
 
 
 def test_inverse_difference_hand_check_n3():
@@ -184,19 +168,6 @@ def test_discrete_new_eigenvalues_count_validation():
         discrete_new_eigenvalues(pair, 0)
     with pytest.raises(ValueError):
         discrete_new_eigenvalues(pair, 11)
-
-
-def test_sherman_morrison_reproduces_neumann_inverse():
-    pair = build_pair(200)
-    n, h = pair.grid.n, pair.grid.h
-    # t_dn = t_dd - (1/h^2) e_n e_n^T
-    form = RankOneForm(Vector.basis(n - 1, n) * (1.0 / h**2), Functional.basis(n - 1, n))
-    t_dd_inv = invert(pair.t_dd)
-    result = perturbed_inverse(t_dd_inv, form)
-    assert isinstance(result, RegularInverse)
-    direct = invert(pair.t_dn)
-    dev = np.max(np.abs(result.apply_to(t_dd_inv).matrix - direct.matrix))
-    assert dev <= 1e-8 * np.max(np.abs(direct.matrix))
 
 
 def test_denominator_function_matches_matrix_path():
@@ -416,10 +387,7 @@ def test_resolvent_materializes_its_dense_matrix_bit_for_bit(n):
 
 
 def test_real_data_stays_float64_and_complex_data_complex128():
-    pair = build_pair(50)
-    d = inverse_difference(pair)
-    probe = probing.choose_probe(d)
-    form = probing.recover_factors(d, probe)
+    pair, d, probe, form = verification.recovered_setup(50)
     r = resolvent(pair.t_dd, 30.0)
     assert isinstance(probe.pairing, float)
     for a in (d.left, d.right, form.f.entries, form.l.weights, *r.factors[:4], r.matrix):
@@ -458,9 +426,8 @@ def test_real_factors_solve_a_complex_block_as_complex_factors_do(n):
 
 def _gauged_recovered_denominator(n: int):
     # Recovered factors under a complex gauge exercise both parts of the sine transform.
-    pair = build_pair(n)
-    d = inverse_difference(pair)
-    form = probing.recover_factors(d, probing.choose_probe(d)).gauge(0.5 - 1.5j)
+    pair, _, _, form = verification.recovered_setup(n)
+    form = form.gauge(0.5 - 1.5j)
     return pair, form, krein_denominator_function(pair, form)
 
 
@@ -666,9 +633,7 @@ def test_eigenvalue_count_refuses_non_hermitian_or_empty_interval():
 @pytest.mark.parametrize("n, roots", [(50, 5), (1000, 5), (1000, 40)])
 def test_root_search_finds_as_many_roots_as_the_sturm_count(n, roots):
     # find_new_eigenvalues as the dense-krein benchmark calls it.
-    pair = build_pair(n)
-    d = inverse_difference(pair)
-    form = probing.recover_factors(d, probing.choose_probe(d))
+    pair, _, _, form = verification.recovered_setup(n)
     poles = dd_eigenvalues(pair)
     interval = (0.05, float(poles[roots - 1]))
     found = find_new_eigenvalues(

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rankone import discretize, laplace, probing
-from rankone.core import DenseOperator, RankOneForm, Vector, invert
+from rankone.core import RankOneForm, Vector
 from rankone.krein import (
     BISECTION_RTOL,
     NUDGE_RTOL,
@@ -16,16 +16,9 @@ from rankone.krein import (
     find_new_eigenvalues,
     resolvent_difference,
 )
-from rankone.verification import random_functional, random_vector
+from rankone.verification import random_functional, random_vector, recovered_setup
 
 PI_HALF_SQ = 2.4674011002723395  # ((1/2) pi)^2, first new eigenvalue
-
-
-def _recovered(n: int):
-    pair = discretize.build_pair(n)
-    d = discretize.inverse_difference(pair)
-    form = probing.recover_factors(d, probing.choose_probe(d))
-    return pair, form
 
 
 # ----------------------------------------------------------- spectral points
@@ -114,15 +107,6 @@ def test_resolvent_difference_at_zero_is_negated_outer():
     assert_allclose(diff.materialize().matrix, -form.materialize().matrix, atol=1e-14)
 
 
-def test_resolvent_difference_matches_brute_force_on_discrete_pair():
-    pair, form = _recovered(200)
-    z = 1.0
-    r1 = discretize.resolvent(pair.t_dd, z)
-    krein_path = resolvent_difference(r1, z, form).materialize()
-    brute = discretize.resolvent(pair.t_dn, z) - r1
-    assert np.max(np.abs(krein_path.matrix - brute.matrix)) <= 1e-8
-
-
 def test_resolvent_difference_tracks_analytic_kernel():
     # frozen analytic value at (0.5, 0.5): -sin^2(0.5)/(sin 1 cos 1)
     s = SpectralPoint.from_z(1.0 + 0j)
@@ -130,7 +114,7 @@ def test_resolvent_difference_tracks_analytic_kernel():
     assert value == pytest.approx(-0.5055526174055559, abs=1e-13)
 
     # h-scaled discrete kernel agrees at the node pair nearest the middle
-    pair, form = _recovered(200)
+    pair, _, _, form = recovered_setup(200)
     h = pair.grid.h
     r1 = discretize.resolvent(pair.t_dd, 1.0)
     diff = resolvent_difference(r1, 1.0, form).materialize()
@@ -141,7 +125,7 @@ def test_resolvent_difference_tracks_analytic_kernel():
 
 
 def test_resolvent_difference_raises_on_eigenvalue_hit():
-    pair, form = _recovered(80)
+    pair, _, _, form = recovered_setup(80)
     z0 = discretize.discrete_new_eigenvalues(pair, 1)[0]
     r1 = discretize.resolvent(pair.t_dd, z0)
     with pytest.raises(EigenvalueHitError):
@@ -150,12 +134,10 @@ def test_resolvent_difference_raises_on_eigenvalue_hit():
 
 def _both_paths(n: int, z: complex):
     """The factor-based and the factor-free Krein difference at z, on the n-node testbed."""
-    pair = discretize.build_pair(n)
-    d = discretize.inverse_difference(pair)
-    probe = probing.choose_probe(d)
+    pair, d, probe, form = recovered_setup(n)
     r1 = discretize.resolvent(pair.t_dd, z)
     return (
-        lambda: resolvent_difference(r1, z, probing.recover_factors(d, probe)),
+        lambda: resolvent_difference(r1, z, form),
         lambda: probing.resolvent_difference_factor_free(r1, z, d, probe),
     )
 
@@ -201,25 +183,13 @@ def test_every_new_eigenvalue_raises_on_both_paths():
 
 
 def test_resolvent_difference_gauge_invariance():
-    pair, form = _recovered(60)
+    pair, _, _, form = recovered_setup(60)
     z = 1.3 + 0.4j
     r1 = discretize.resolvent(pair.t_dd, z)
     base = resolvent_difference(r1, z, form).materialize()
     for alpha in (2.0, -0.3 + 1.2j):
         scaled = resolvent_difference(r1, z, form.gauge(alpha)).materialize()
         assert np.max(np.abs(base.matrix - scaled.matrix)) <= 1e-10 * np.max(np.abs(base.matrix)) + 1e-15
-
-
-def test_telescoping_identity_on_discrete_pair():
-    pair = discretize.build_pair(50)
-    t1_inv, t2_inv = invert(pair.t_dd).matrix, invert(pair.t_dn).matrix
-    eye = np.eye(50)
-    for z in (-2.5, 0.7, 1.1 + 0.9j):
-        lhs = (1.0 / z) * (
-            invert(DenseOperator(z * t2_inv - eye)).matrix - invert(DenseOperator(z * t1_inv - eye)).matrix
-        )
-        rhs = discretize.resolvent(pair.t_dn, z) - discretize.resolvent(pair.t_dd, z)
-        assert np.max(np.abs(lhs - rhs.matrix)) <= 1e-8
 
 
 # ------------------------------------------------------------- root location
@@ -313,7 +283,7 @@ def test_secular_roots_match_eigvalsh(first, gaps, log_weights, log_alpha, sign)
 
 def test_discrete_root_search_evaluation_budget():
     # The benchmark's call: five roots below the fifth pole at n = 1000.
-    pair, form = _recovered(1000)
+    pair, _, _, form = recovered_setup(1000)
     d_fn = discretize.krein_denominator_function(pair, form)
     calls = []
 

@@ -95,6 +95,14 @@ VERIFY_ROWS = [
 ]
 
 
+@pytest.mark.parametrize("name, check", zip(VERIFY_ROWS, verification.ALL_CHECKS, strict=True), ids=VERIFY_ROWS)
+def test_verify_check(name, check):
+    # Each verify row is its own tier-1 test, at the seed the command runs by default.
+    result = check(verification.DEFAULT_SEED)
+    assert result.name == name
+    assert result.passed, f"{name}: measured {result.measured!r}, threshold {result.threshold!r}"
+
+
 def test_registry_runs_every_invariant_once_in_row_order():
     assert [r.name for r in verification.run_all()] == VERIFY_ROWS
     # The benchmark looks single checks up by their function names.
