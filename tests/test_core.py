@@ -82,6 +82,23 @@ def test_invert_diagonal():
     assert_allclose(inv.matrix, np.diag([0.5, 0.25]))
 
 
+def test_invert_residual_seeded():
+    rng = np.random.default_rng(3)
+    a = random_operator(rng, 8)
+    x = invert(a).matrix
+    assert np.max(np.abs(a.matrix @ x - np.eye(8))) <= 1e-10
+
+
+@pytest.mark.parametrize("dim", [2, 8, 32])
+def test_invert_two_sided_residual(dim):
+    rng = np.random.default_rng(dim)
+    a = random_operator(rng, dim)
+    x = invert(a).matrix
+    eye = np.eye(dim)
+    assert np.max(np.abs(a.matrix @ x - eye)) <= 1e-10
+    assert np.max(np.abs(x @ a.matrix - eye)) <= 1e-10
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 8, 33, 64])
 def test_invert_keeps_its_lu_and_materializes_the_dense_inverse_bit_for_bit(dim):
     a = random_operator(np.random.default_rng(dim), dim)

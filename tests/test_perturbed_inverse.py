@@ -66,6 +66,16 @@ def test_singular_branch_two_by_two():
     assert_allclose(result.null_vector.entries, [1, 0])
 
 
+def test_regular_branch_matches_brute_force_inverse():
+    rng = np.random.default_rng(17)
+    a, a_inv, form = regular_instance(rng, 8)
+    result = perturbed_inverse(a_inv, form)
+    assert isinstance(result, RegularInverse)
+    oracle = invert(a - form.materialize())
+    dev = np.max(np.abs(result.apply_to(a_inv).matrix - oracle.matrix))
+    assert dev <= 1e-10 * np.max(np.abs(oracle.matrix))
+
+
 def test_solve_one_dimensional():
     # A=[2], f=[1], l=(1), w=[1]: B=[1], so v=w; c = 0.5/0.5 = 1, v = 0.5*(1+1)
     a_inv = DenseOperator([[0.5]])
@@ -257,6 +267,27 @@ def test_certificate_accepts_own_null_vector():
         result = perturbed_inverse(a_inv, form)
         assert isinstance(result, SingularInverse)
         assert null_space_certificate(a_inv, form, result.null_vector), seed
+
+
+@pytest.mark.parametrize("dim", [3, 8, 32])
+def test_regular_residual_invariant(dim):
+    rng = np.random.default_rng(100 + dim)
+    a, a_inv, form = regular_instance(rng, dim)
+    result = perturbed_inverse(a_inv, form)
+    assert isinstance(result, RegularInverse)
+    residual = (a - form.materialize()) @ result.apply_to(a_inv)
+    assert np.max(np.abs(residual.matrix - np.eye(dim))) <= 1e-9
+
+
+@pytest.mark.parametrize("alpha", [2.0, -0.5, 1.7 - 2.3j])
+def test_gauge_invariance_of_update(alpha):
+    rng = np.random.default_rng(43)
+    _, a_inv, form = regular_instance(rng, 8)
+    base = perturbed_inverse(a_inv, form)
+    scaled = perturbed_inverse(a_inv, form.gauge(alpha))
+    assert isinstance(base, RegularInverse) and isinstance(scaled, RegularInverse)
+    assert abs(base.denominator - scaled.denominator) <= 1e-12
+    assert np.max(np.abs(base.correction.matrix - scaled.correction.matrix)) <= 1e-12
 
 
 def test_gauge_preserves_null_vector_direction():

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rankone import discretize
-from rankone.core import DenseOperator, DimensionMismatchError, Functional, Vector, invert, outer
+from rankone.core import DenseOperator, DimensionMismatchError, Functional, Vector, invert, outer, pair
 from rankone.krein import EigenvalueHitError, resolvent_difference
 from rankone.probing import (
+    ADMISSIBILITY_RTOL,
     InadmissibleProbeError,
     NotRankOneError,
     ZeroDifferenceError,
@@ -17,7 +18,7 @@ from rankone.probing import (
     recover_factors,
     resolvent_difference_factor_free,
 )
-from rankone.verification import random_functional, random_vector
+from rankone.verification import random_functional, random_operator, random_vector
 
 D_EXAMPLE = DenseOperator([[3.0, 4.0], [6.0, 8.0]])  # outer((1,2),(3,4))
 
@@ -157,6 +158,17 @@ def test_bilinear_value_zero_weight():
     assert bilinear_value(D_EXAMPLE, DenseOperator(np.zeros((2, 2))), probe) == 0
 
 
+def test_bilinear_value_matches_direct_pairing():
+    rng = np.random.default_rng(19)
+    f = random_vector(rng, 8)
+    l = random_functional(rng, 8)
+    d = outer(f, l)
+    s = random_operator(rng, 8)
+    direct = pair(l, s @ f)
+    quotient = bilinear_value(d, s, choose_probe(d))
+    assert abs(quotient - direct) <= 1e-10 * abs(direct)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31))
 def test_recovery_residual_property(seed):
@@ -226,3 +238,19 @@ def test_factor_free_raises_on_eigenvalue_hit():
     r1 = discretize.resolvent(pair_.t_dd, z0)
     with pytest.raises(EigenvalueHitError):
         resolvent_difference_factor_free(r1, z0, d, probe)
+
+
+def test_bilinear_probe_independence():
+    rng = np.random.default_rng(37)
+    dim = 16
+    f = random_vector(rng, dim)
+    l = random_functional(rng, dim)
+    d = outer(f, l)
+    s = random_operator(rng, dim)
+    direct = pair(l, s @ f)
+    for i in range(dim):
+        for j in range(dim):
+            probe = coordinate_probe(d, i, j)
+            if abs(probe.pairing) <= ADMISSIBILITY_RTOL * d.norm_max():
+                continue
+            assert abs(bilinear_value(d, s, probe) - direct) <= 1e-10 * abs(direct)
