@@ -1,4 +1,4 @@
-"""LAPACK's dstebz, zgetrf, zgetrs and d/z gttrf, gttrs, gtcon, from scipy's compiled wrappers.
+"""LAPACK's dstebz and d/z getrf, getrs, gttrf, gttrs, gtcon, from scipy's compiled wrappers.
 
 ``scipy.linalg.lapack`` re-exports the f2py functions of the extension
 module ``scipy/linalg/_flapack``.  Importing it runs ``scipy/__init__``
@@ -53,13 +53,13 @@ def _load():
 
 _wrappers = _load()
 dstebz = _wrappers.dstebz
-zgetrf = _wrappers.zgetrf
-zgetrs = _wrappers.zgetrs
+dgetrf, zgetrf = _wrappers.dgetrf, _wrappers.zgetrf
+dgetrs, zgetrs = _wrappers.dgetrs, _wrappers.zgetrs
 dgtcon, zgtcon = _wrappers.dgtcon, _wrappers.zgtcon
 dgttrf, zgttrf = _wrappers.dgttrf, _wrappers.zgttrf
 dgttrs, zgttrs = _wrappers.dgttrs, _wrappers.zgttrs
 
 
 def for_dtype(name: str, dtype):
-    """The d routine ``name`` ("gttrf", "gttrs" or "gtcon") for real arrays of ``dtype``, the z one for complex."""
+    """The d routine ``name`` (getrf, getrs, gttrf, gttrs, gtcon) for real arrays of ``dtype``, the z one for complex."""
     return globals()[("z" if dtype.kind == "c" else "d") + name]

@@ -171,10 +171,7 @@ def cmd_resolvent_diff(args) -> OutputRecord:
 
     if args.n is None:
         raise InputError("--n is required for source 'discrete'")
-    pair_ = discretize.build_pair(args.n)
-    d = discretize.inverse_difference(pair_)
-    probe = probing.choose_probe(d)
-    form = probing.recover_factors(d, probe)
+    pair_, d, probe, form = verification.recovered_setup(args.n)
     r1 = discretize.resolvent(pair_.t_dd, args.z)
     factored = krein.resolvent_difference(r1, args.z, form)
     factor_free = probing.resolvent_difference_factor_free(r1, args.z, d, probe)
@@ -266,10 +263,7 @@ def cmd_perturb(args) -> OutputRecord:
 
 def cmd_recover(args) -> OutputRecord:
     params = {"n": args.n}
-    pair_ = discretize.build_pair(args.n)
-    d = discretize.inverse_difference(pair_)
-    probe = probing.choose_probe(d)
-    form = probing.recover_factors(d, probe)
+    pair_, d, probe, form = verification.recovered_setup(args.n)
     g = _check_block(args.n)
     d_g = d.apply(g)
     l_g = form.l.weights @ g  # the misfit takes one column of G at a time: no n x 4 temporary beside D G

@@ -5,9 +5,9 @@ columns, functionals are coordinate rows, operators are square and known
 by their action (:class:`Operator`); :class:`DenseOperator` is the one
 that stores its matrix.  An inverse is kept as a factorization and applied
 by solves (:class:`FactoredInverse`): :func:`invert` returns A's read-only
-partial-pivot LU (:class:`LUInverse`), whose dense ``matrix`` is solved
-for only when it is read.  Sherman-Morrison's update of such an inverse
-keeps its factors too (``perturbed_inverse.RegularInverse``).
+partial-pivot LU in A's dtype (:class:`LUInverse`), whose dense ``matrix``
+is solved for only when it is read.  Sherman-Morrison's update of such an
+inverse keeps its factors too (``perturbed_inverse.RegularInverse``).
 
 Values are validated where they are built.  The constructors of
 :class:`Vector`, :class:`Functional` and :class:`DenseOperator` copy their
@@ -256,17 +256,27 @@ class DenseOperator(Operator):
 class FactoredInverse(Operator):
     """An inverse kept as a factorization and applied by solves.
 
-    An implementation gives ``dim``, the ``dtype`` of its factors and
-    ``_solve(b, trans, overwrite)``, which solves with the factored matrix
-    (``trans`` "N") or its transpose ("T", no conjugation) for a vector or
-    each column of a block b, into b itself when ``overwrite`` is true and b
-    suits LAPACK (of that dtype, Fortran-ordered).  The column action is one
-    solve, the row action one transposed solve, and ``matrix`` solves into an
-    identity it owns, in that dtype: one n x n array.
+    An implementation gives ``dim``, the ``dtype`` of its factors and its one
+    LAPACK call ``_lapack_solve(b, trans, overwrite)``, which solves with the
+    factored matrix (``trans`` "N") or its transpose ("T", no conjugation) for
+    a vector or each column of a nonempty block b, into b itself when
+    ``overwrite`` is true and b suits LAPACK (of that dtype, Fortran-ordered).
+    :meth:`_solve`, the one solve body of every action, calls no LAPACK for an
+    n x 0 block, and real factors solve a complex b as one real block of the
+    columns (Re b_j, Im b_j).  ``matrix`` solves into an identity it owns, in
+    that dtype: one n x n array.
     """
 
-    def _solve(self, b: np.ndarray, trans: str = "N", overwrite: bool = False) -> np.ndarray:
+    def _lapack_solve(self, b: np.ndarray, trans: str, overwrite: bool) -> np.ndarray:
         raise NotImplementedError
+
+    def _solve(self, b: np.ndarray, trans: str = "N", overwrite: bool = False) -> np.ndarray:
+        if b.size == 0:  # scipy's gttrs wrappers corrupt the heap on an n x 0 block
+            return np.zeros(b.shape, dtype=np.result_type(b, self.dtype))
+        if b.dtype.kind == "c" and self.dtype.kind != "c":
+            parts = self._lapack_solve(np.stack((b.real, b.imag), axis=-1).reshape(b.shape[0], -1), trans, True)
+            return np.ascontiguousarray(parts).view(complex).reshape(b.shape)
+        return self._lapack_solve(b, trans, overwrite)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self._solve(x)
@@ -279,28 +289,25 @@ class FactoredInverse(Operator):
         return self._solve(np.eye(self.dim, dtype=self.dtype, order="F"), overwrite=True)
 
 
-# zgetrs's integer code of each transpose flag.
-_GETRS_TRANS = {"N": 0, "T": 1}
-
-
 @dataclass(frozen=True, eq=False)
 class LUInverse(FactoredInverse):
-    """A^-1 of a dense A, kept as ``zgetrf``'s read-only (lu, piv); each solve is one ``zgetrs``.
+    """A^-1 of a dense A, kept as getrf's read-only (lu, piv) in A's dtype; each solve is one getrs.
 
-    :func:`invert` passes ``zgetrs`` in, so a solve imports nothing.
+    :func:`invert` passes the getrs of that dtype in, so a solve imports nothing.
     """
 
     lu: np.ndarray
     piv: np.ndarray
-    zgetrs: Callable = field(repr=False)
+    getrs: Callable = field(repr=False)
     dtype = property(lambda self: self.lu.dtype)
 
     @property
     def dim(self) -> int:
         return self.lu.shape[0]
 
-    def _solve(self, b: np.ndarray, trans: str = "N", overwrite: bool = False) -> np.ndarray:
-        return self.zgetrs(self.lu, self.piv, b, trans=_GETRS_TRANS[trans], overwrite_b=overwrite)[0]
+    def _lapack_solve(self, b: np.ndarray, trans: str, overwrite: bool) -> np.ndarray:
+        # getrs takes the flag as an integer code: 0 for "N", 1 for "T".
+        return self.getrs(self.lu, self.piv, b, trans="NT".index(trans), overwrite_b=overwrite)[0]
 
 
 @dataclass(frozen=True)
@@ -348,16 +355,18 @@ def outer(f: Vector, l: Functional) -> DenseOperator:
 
 
 def invert(a: Operator) -> LUInverse:
-    """A^-1 kept as its partial-pivot LU factorization (LAPACK ``zgetrf``).
+    """A^-1 kept as its partial-pivot LU factorization (LAPACK getrf).
 
-    Each action of the result is one ``zgetrs`` solve, O(n^2); its
+    A real A factors with ``dgetrf`` and a complex one with ``zgetrf``; each
+    action of the result is one getrs solve of that dtype, O(n^2), and its
     ``matrix``, the dense inverse for oracles, solves against the identity.
     Raises :class:`SingularMatrixError` when the smallest pivot falls
     below PIVOT_RTOL times the largest one.
     """
     from . import _lapack  # the LAPACK extension loads on first use: most commands never factor
 
-    lu, piv, _ = _lapack.zgetrf(a.matrix)
+    m = a.matrix
+    lu, piv, _ = _lapack.for_dtype("getrf", m.dtype)(m)
     pivots = np.abs(lu.diagonal())
     if pivots.min() < PIVOT_RTOL * pivots.max():
         raise SingularMatrixError(
@@ -365,4 +374,4 @@ def invert(a: Operator) -> LUInverse:
         )
     lu.flags.writeable = False
     piv.flags.writeable = False
-    return LUInverse(lu, piv, _lapack.zgetrs)
+    return LUInverse(lu, piv, _lapack.for_dtype("getrs", m.dtype))

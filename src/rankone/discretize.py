@@ -153,14 +153,9 @@ class TridiagonalResolvent(FactoredInverse):
     def dim(self) -> int:
         return self.t.dim
 
-    def _solve(self, b: np.ndarray, trans: str = "N", overwrite: bool = False) -> np.ndarray:
+    def _lapack_solve(self, b: np.ndarray, trans: str, overwrite: bool) -> np.ndarray:
         from . import _lapack
 
-        if b.size == 0:  # scipy's gttrs wrappers corrupt the heap on an n x 0 block
-            return np.zeros(b.shape, dtype=np.result_type(b, self.dtype))
-        if b.dtype.kind == "c" and self.dtype.kind != "c":  # real factors: (Re b_j, Im b_j) columns, one solve
-            parts = self._solve(np.stack((b.real, b.imag), axis=-1).reshape(b.shape[0], -1), trans, True)
-            return np.ascontiguousarray(parts).view(complex).reshape(b.shape)
         pad = self.factors[1].shape[0] - self.dim
         if pad:
             b = np.concatenate((b, np.zeros((pad,) + b.shape[1:], dtype=b.dtype)))

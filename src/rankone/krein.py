@@ -97,7 +97,8 @@ def resolvent_difference(r1: TridiagonalResolvent, z: complex, p: RankOneForm) -
     ``perturbed_inverse.update_denominator``.
     """
     z = complex(z)
-    u, den, band = update_denominator(lambda x: _r1t1(r1, x), p.f.entries, p.l.weights, -z)
+    c = -(z.real if z.imag == 0 else z)  # a real z with real factors keeps the update float64
+    u, den, band = update_denominator(lambda x: _r1t1(r1, x), p.f.entries, p.l.weights, c)
     if abs(den) <= band:
         raise EigenvalueHitError(f"denominator {den:.3e} vanishes at z={z}: z is a new eigenvalue")
     right = _r1t1_left(r1, p.l.weights)

@@ -42,7 +42,7 @@ class RankOneTerm:
 
     left: Vector
     right: Functional
-    denominator: complex
+    denominator: float | complex
     SIGN: ClassVar[float] = 1.0
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -50,7 +50,7 @@ class RankOneTerm:
 
     def materialize(self) -> DenseOperator:
         with np.errstate(over="ignore", invalid="ignore"):  # DenseOperator rejects an overflow
-            product = np.outer(self.left.entries, self.right.weights) * complex(self.SIGN / self.denominator)
+            product = np.outer(self.left.entries, self.right.weights) * (self.SIGN / self.denominator)
         return DenseOperator(product)
 
 
@@ -82,8 +82,8 @@ CERTIFICATE_RTOL = 1e-9
 
 
 def update_denominator(
-    apply: Callable[[np.ndarray], np.ndarray], f: np.ndarray, l: np.ndarray, c: complex
-) -> tuple[np.ndarray, complex, float]:
+    apply: Callable[[np.ndarray], np.ndarray], f: np.ndarray, l: np.ndarray, c: float | complex
+) -> tuple[np.ndarray, float | complex, float]:
     """u = A^-1 f, den = 1 - c <l|u> and the singular band of B = A - c|f><l|.
 
     ``apply`` is the action of A^-1.  B counts as singular, and its update
@@ -96,7 +96,7 @@ def update_denominator(
     """
     with np.errstate(over="ignore", invalid="ignore"):
         u = apply(f)
-        c_l_u = c * complex(np.dot(l, u))
+        c_l_u = c * np.dot(l, u).item()
         # 1e-10 goes first so that the band overflows only where it exceeds every finite den.
         band = 1e-10 + 1e-10 * abs(c) * _norm(l) * _norm(u)
     if not math.isfinite(math.hypot(c_l_u.real, c_l_u.imag)):
@@ -113,8 +113,8 @@ def _norm(x: np.ndarray) -> float:
     return norm
 
 
-def denominator(a_inv: Operator, p: RankOneForm) -> complex:
-    """The update scalar 1 - <l|A^-1 f>; ValueError when <l|A^-1 f> overflows."""
+def denominator(a_inv: Operator, p: RankOneForm) -> float | complex:
+    """The update scalar 1 - <l|A^-1 f>, a float for real data; ValueError when <l|A^-1 f> overflows."""
     _check_dims(a_inv.dim, p.dim)
     return update_denominator(a_inv.apply, p.f.entries, p.l.weights, 1.0)[1]
 
@@ -156,7 +156,7 @@ def solve_perturbed(a_inv: Operator, p: RankOneForm, w: Vector) -> Vector:
             f"perturbation denominator {den:.3e} within tolerance {band:.3e} of zero"
         )
     t_w = a_inv.apply(w.entries)
-    c = complex(np.dot(p.l.weights, t_w)) / den
+    c = np.dot(p.l.weights, t_w).item() / den
     return Vector(t_w + t_f * c)
 
 

@@ -17,6 +17,25 @@ def _mp_kernel(which, k, x, xi):
 
 
 @pytest.fixture
+def lapack_calls(monkeypatch):
+    """``calls(*names)``: the list of the d and z LAPACK routines ``names`` called from then on, in call order."""
+    from rankone import _lapack
+
+    def calls(*names) -> list:
+        called = []
+        for routine in (prefix + name for name in names for prefix in "dz"):
+
+            def counted(*args, _routine=routine, _call=getattr(_lapack, routine), **kwargs):
+                called.append(_routine)
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(_lapack, routine, counted)
+        return called
+
+    return calls
+
+
+@pytest.fixture
 def mp_kernel():
     """The 30-digit oracle of the spectral kernels, for the kernel functions and the CLI's kernel tables."""
     return _mp_kernel

@@ -116,6 +116,20 @@ def test_invert_keeps_its_lu_and_materializes_the_dense_inverse_bit_for_bit(dim)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def test_invert_picks_getrf_and_getrs_by_the_dtype_of_a(lapack_calls):
+    calls = lapack_calls("getrf", "getrs")
+    a = random_operator(np.random.default_rng(5), 6)
+    x = np.ones(6) + 1j
+    for m, prefix in ((a.matrix.real, "d"), (a.matrix, "z")):
+        inv = invert(DenseOperator(m))
+        inv.apply(x.real)
+        inv.apply_left(x)  # complex, so real factors solve its two parts as one block
+        dense = inv.matrix
+        assert calls == [prefix + "getrf"] + [prefix + "getrs"] * 3
+        assert dense.dtype == m.dtype
+        calls.clear()
+
+
 @pytest.mark.parametrize("k", [3, 7])
 def test_dense_apply_left_reads_a_block_as_columns(k):
     # Every Operator's row action takes an n x k block column by column,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rankone import discretize, laplace, probing, verification
-from rankone.core import RankOneForm, Vector, invert
+from rankone.core import DenseOperator, RankOneForm, Vector, invert
 from rankone.discretize import (
     RCOND_TOL,
     Grid,
@@ -323,27 +323,12 @@ def test_equal_stencils_give_the_zero_inverse_difference():
         probing.choose_probe(d)
 
 
-def _lapack_calls(monkeypatch, name: str) -> list:
-    """The names of the d and z LAPACK routines ``name`` called from now on, in call order."""
-    from rankone import _lapack
-
-    calls = []
-    for routine in ("d" + name, "z" + name):
-
-        def counted(*args, _routine=routine, _call=getattr(_lapack, routine), **kwargs):
-            calls.append(_routine)
-            return _call(*args, **kwargs)
-
-        monkeypatch.setattr(_lapack, routine, counted)
-    return calls
-
-
-def test_actions_of_the_inverse_difference_run_no_tridiagonal_solve(monkeypatch):
+def test_actions_of_the_inverse_difference_run_no_tridiagonal_solve(lapack_calls):
     pair = build_pair(1000)
     d = inverse_difference(pair)
     z = 1.5 + 0.5j
     r1 = resolvent(pair.t_dd, z)
-    calls = _lapack_calls(monkeypatch, "gttrs")
+    calls = lapack_calls("gttrs")
     probe = probing.choose_probe(d)
     probing.recover_factors(d, probe)
     assert len(calls) == 0
@@ -405,9 +390,15 @@ def test_real_data_stays_float64_and_complex_data_complex128():
     pair, d, probe, form = verification.recovered_setup(50)
     r = resolvent(pair.t_dd, 30.0)
     assert isinstance(probe.pairing, float)
-    for a in (d.left, d.right, form.f.entries, form.l.weights, *r.factors[:4], r.matrix):
+    for a in (d.left, d.right, form.f.entries, form.l.weights, *r.factors[:4], r.matrix, invert(pair.t_dd).lu):
         assert a.dtype == np.float64
     assert resolvent(pair.t_dd, 30.0 + 1j).matrix.dtype == np.complex128
+    # The Krein difference at a real z is real on both paths, its denominator a float; at 30 + 1j all complex.
+    for z, dtype, scalar in ((30.0, np.float64, float), (30.0 + 1j, np.complex128, complex)):
+        r_z = resolvent(pair.t_dd, z)
+        for diff in (resolvent_difference(r_z, z, form), probing.resolvent_difference_factor_free(r_z, z, d, probe)):
+            assert diff.left.entries.dtype == diff.right.weights.dtype == dtype
+            assert type(diff.denominator) is scalar
     # The Dirichlet-Neumann stencil with a complex last diagonal entry: D stays rank one, and complex.
     diag = pair.t_dn.diag.astype(complex)
     diag[-1] += 0.5j / pair.grid.h**2
@@ -425,18 +416,23 @@ def test_real_data_stays_float64_and_complex_data_complex128():
 
 @pytest.mark.parametrize("n", [2, 3, 50])
 def test_real_factors_solve_a_complex_block_as_complex_factors_do(n):
-    # One d solve of the real and imaginary parts as a 2k-column block; n < 3 pads, k = 0 is empty.
+    # Each factored inverse, a resolvent (n < 3 pads) and a dense LU, solves the real and
+    # imaginary parts as one 2k-column d block; k = 0 is empty.
     t = build_pair(n).t_dn
-    real, cplx = resolvent(t, 1.5), resolvent(Tridiagonal(t.lower.astype(complex), t.diag, t.upper), 1.5)
-    assert (real.dtype, cplx.dtype) == (np.float64, np.complex128)
+    inverses = (
+        (resolvent(t, 1.5), resolvent(Tridiagonal(t.lower.astype(complex), t.diag, t.upper), 1.5)),
+        (invert(t), invert(DenseOperator(t.matrix.astype(complex)))),
+    )
     rng = np.random.default_rng(n)
-    for shape in ((n,), (n, 3), (n, 0)):
-        b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        for act in ("apply", "apply_left"):
-            got, want = getattr(real, act)(b), getattr(cplx, act)(b)
-            assert (got.dtype, got.shape) == (want.dtype, want.shape) == (np.complex128, shape)
-            scale = np.max(np.abs(want), initial=0.0)
-            assert np.max(np.abs(got - want), initial=0.0) <= 4 * np.finfo(float).eps * scale
+    for real, cplx in inverses:
+        assert (real.dtype, cplx.dtype) == (np.float64, np.complex128)
+        for shape in ((n,), (n, 3), (n, 0)):
+            b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for act in ("apply", "apply_left"):
+                got, want = getattr(real, act)(b), getattr(cplx, act)(b)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape) == (np.complex128, shape)
+                scale = np.max(np.abs(want), initial=0.0)
+                assert np.max(np.abs(got - want), initial=0.0) <= 4 * np.finfo(float).eps * scale
 
 
 def _gauged_recovered_denominator(n: int):
@@ -506,11 +502,11 @@ def test_structured_pipeline_at_large_n_allocates_no_dense_matrix():
 
 
 @pytest.mark.parametrize("n", [800, 1000, 1200])
-def test_benchmark_resolvents_skip_the_condition_estimate(monkeypatch, n):
+def test_benchmark_resolvents_skip_the_condition_estimate(lapack_calls, n):
     # The dense-krein op: z = 0 for both operators (the inverse difference),
     # a real z in the middle half of a gap of the merged low spectra, and a
     # complex z with 0.5 <= |Im z| <= 20.
-    calls = _lapack_calls(monkeypatch, "gtcon")
+    calls = lapack_calls("gtcon")
     pair = build_pair(n)
     inverse_difference(pair)
     edges = np.sort(np.concatenate([[0.0], dd_eigenvalues(pair)[:5], discrete_new_eigenvalues(pair, 5)]))
@@ -522,10 +518,10 @@ def test_benchmark_resolvents_skip_the_condition_estimate(monkeypatch, n):
     assert calls == []
 
 
-def test_z_0_runs_no_condition_estimate_at_large_n(monkeypatch):
+def test_z_0_runs_no_condition_estimate_at_large_n(lapack_calls):
     # n = 1e6, where a window growing like sqrt(n) ||T|| around z = 0 would
     # reach the lowest eigenvalue: the Sturm count alone still decides.
-    calls = _lapack_calls(monkeypatch, "gtcon")
+    calls = lapack_calls("gtcon")
     pair = build_pair(1_000_000)
     resolvent(pair.t_dd, 0.0)
     resolvent(pair.t_dn, 0.0)
@@ -533,8 +529,8 @@ def test_z_0_runs_no_condition_estimate_at_large_n(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [30, 200, 1000])
-def test_a_hermitian_hit_is_refused_by_the_sturm_count(monkeypatch, n):
-    calls = _lapack_calls(monkeypatch, "gtcon")
+def test_a_hermitian_hit_is_refused_by_the_sturm_count(lapack_calls, n):
+    calls = lapack_calls("gtcon")
     pair = build_pair(n)
     lam = float(dd_eigenvalues(pair)[0])
     with pytest.raises(SpectrumHitError):
@@ -543,10 +539,10 @@ def test_a_hermitian_hit_is_refused_by_the_sturm_count(monkeypatch, n):
 
 
 @pytest.mark.parametrize("n", [30, 200, 1000])
-def test_resolvent_at_an_eigenvalue_runs_the_condition_estimate(monkeypatch, n):
+def test_resolvent_at_an_eigenvalue_runs_the_condition_estimate(lapack_calls, n):
     # t_dd + i I is complex and not Hermitian, and lam + i is its eigenvalue:
     # no Sturm count applies, so zgtcon refuses it.
-    calls = _lapack_calls(monkeypatch, "gtcon")
+    calls = lapack_calls("gtcon")
     pair = build_pair(n)
     lam = float(dd_eigenvalues(pair)[0])
     with pytest.raises(SpectrumHitError):

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from rankone import _lapack
-from rankone.core import invert
+from rankone.core import DenseOperator, invert
 from rankone.discretize import build_pair, dd_eigenvalues, eigenvalue_count, resolvent
 from rankone.verification import random_operator
 
-ROUTINES = ("dstebz", "zgetrf", "zgetrs", "dgtcon", "zgtcon", "dgttrf", "zgttrf", "dgttrs", "zgttrs")
+ROUTINES = (
+    "dstebz", "dgetrf", "zgetrf", "dgetrs", "zgetrs", "dgtcon", "zgtcon", "dgttrf", "zgttrf", "dgttrs", "zgttrs"
+)
 
 
 def _bits(values) -> list:
@@ -15,7 +17,7 @@ def _bits(values) -> list:
 
 
 def _results() -> list:
-    """Every LAPACK-backed result: factors, solves N and T, rcond, Sturm counts, dense inverses."""
+    """Every LAPACK-backed result: factors, solves N and T, rcond, Sturm counts, real and complex dense inverses."""
     out = []
     for n in (2, 3, 1000):
         pair = build_pair(n)
@@ -28,7 +30,8 @@ def _results() -> list:
             out += [*r.factors, r.apply(b), r.apply_left(b), r.apply(b.real), gtcon(*r.factors, anorm)[0]]
         out += [eigenvalue_count(t, lo, hi) for lo, hi in ((-1.0, float(lam[-1]) / 2), (0.0, 1e9), (5.0, 5.5))]
     for dim in (4, 64):
-        out.append(invert(random_operator(np.random.default_rng(dim), dim)).matrix)
+        a = random_operator(np.random.default_rng(dim), dim)
+        out += [invert(a).matrix, invert(DenseOperator(a.matrix.real)).matrix]
     return out
 
 

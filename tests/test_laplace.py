@@ -211,9 +211,9 @@ def test_scalar_pairing_matches_quadrature():
 
 def test_scalar_pairing_series_against_mpmath():
     # high-precision oracle for the small-|k| Taylor branch
-    mp.mp.dps = 40
     for k in (1e-5, 5e-5, 9.9e-5):
-        exact = complex(mp.cos(k) / (k * mp.sin(k)) - 1 / mp.mpf(k) ** 2)
+        with mp.workdps(40):
+            exact = complex(mp.cos(k) / (k * mp.sin(k)) - 1 / mp.mpf(k) ** 2)
         assert scalar_pairing(SpectralPoint.from_k(k)) == pytest.approx(exact, abs=1e-16)
 
 
@@ -224,9 +224,9 @@ def test_scalar_pairing_continuous_across_taylor_cutover():
     above = scalar_pairing(SpectralPoint.from_k(1.00001e-4))
     assert below == pytest.approx(above, abs=1e-7)
     # the Taylor branch itself is accurate to machine precision
-    mp.mp.dps = 40
-    k = mp.mpf("0.99999e-4")
-    exact = complex(mp.cos(k) / (k * mp.sin(k)) - 1 / k**2)
+    with mp.workdps(40):
+        k = mp.mpf("0.99999e-4")
+        exact = complex(mp.cos(k) / (k * mp.sin(k)) - 1 / k**2)
     assert abs(below - exact) <= 1e-15
 
 
