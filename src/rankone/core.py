@@ -86,7 +86,9 @@ class _Coordinates:
         return type(self)(self._array - other._array)
 
     def __mul__(self, scalar):
-        return type(self)(self._array * complex(scalar))
+        if np.ndim(scalar):
+            raise TypeError(f"{type(self).__name__} scales by a scalar, not by an array of shape {np.shape(scalar)}")
+        return type(self)(self._array * scalar)
 
     __rmul__ = __mul__
 
@@ -329,10 +331,9 @@ class RankOneForm:
 
     def gauge(self, alpha) -> "RankOneForm":
         """Equivalent factorization (alpha*f, l/alpha); same outer product."""
-        a = complex(alpha)
-        if a == 0:
+        if alpha == 0:
             raise ValueError("gauge factor must be nonzero")
-        return RankOneForm(self.f * a, self.l * (1.0 / a))
+        return RankOneForm(self.f * alpha, self.l * (1.0 / alpha))
 
 
 def _check_dims(a: int, b: int):

@@ -142,11 +142,12 @@ class TridiagonalResolvent(FactoredInverse):
     z - T padded to at least _LAPACK_MIN_DIM rows (see :func:`resolvent`).
     Each action is one O(n) ``gttrs`` solve in their dtype, the row action a
     transposed one; ``matrix`` solves against the identity, O(n^2).
-    ``t`` serves the Krein update, which applies (z - T)^-1 T.
+    ``t`` and ``z`` serve the Krein update, which applies (z - T)^-1 T at this z.
     """
 
     t: Tridiagonal
     factors: tuple
+    z: complex
     dtype = property(lambda self: self.factors[1].dtype)
 
     @property
@@ -270,7 +271,7 @@ def resolvent(t: Tridiagonal, z: complex) -> TridiagonalResolvent:
         lo, hi = math.nextafter(z.real - reach, -math.inf), z.real + reach
         if abs(z.imag) <= reach and eigenvalue_count(t, lo, hi) > 0:
             raise SpectrumHitError(f"z={z} hits the discrete spectrum (an eigenvalue within {reach:.3e})")
-    return TridiagonalResolvent(t, tuple(factors))
+    return TridiagonalResolvent(t, tuple(factors), z)
 
 
 def eigenvalue_count(t: Tridiagonal, lo: float, hi: float) -> int:

@@ -92,11 +92,13 @@ def resolvent_difference(r1: TridiagonalResolvent, z: complex, p: RankOneForm) -
     """Rank-one factorization of (z - T2)^-1 - (z - T1)^-1.
 
     ``r1`` must be ``discretize.resolvent(t1, z)`` at this z: the update
-    applies A^-1 = R1 T1 through its ``t``.  Raises
-    :class:`EigenvalueHitError` when the denominator is inside the band of
-    ``perturbed_inverse.update_denominator``.
+    applies A^-1 = R1 T1 through its ``t``.  Raises ValueError when r1 was
+    built at another z, and :class:`EigenvalueHitError` when the denominator
+    is inside the band of ``perturbed_inverse.update_denominator``.
     """
     z = complex(z)
+    if z != r1.z:
+        raise ValueError(f"r1 is the resolvent at z={r1.z}, not at z={z}")
     c = -(z.real if z.imag == 0 else z)  # a real z with real factors keeps the update float64
     u, den, band = update_denominator(lambda x: _r1t1(r1, x), p.f.entries, p.l.weights, c)
     if abs(den) <= band:

@@ -261,3 +261,17 @@ def test_rank_one_form_gauge_keeps_outer_product():
     form = RankOneForm(Vector([1, 2]), Functional([3, 4]))
     scaled = form.gauge(-2.5 + 1.0j)
     assert_allclose(scaled.materialize().matrix, form.materialize().matrix, atol=1e-14)
+
+
+def test_real_scaling_keeps_float64():
+    form = RankOneForm(Vector([1.0, 2.0]), Functional([3.0, 4.0]))
+    assert (Vector([1.0, 2.0]) * 2.0).entries.dtype == np.float64
+    assert (2.0 * Functional([3.0, 4.0])).weights.dtype == np.float64
+    gauged = form.gauge(2.0)
+    assert gauged.f.entries.dtype == gauged.l.weights.dtype == np.float64
+    gauged = form.gauge(2.0 + 1.0j)
+    assert gauged.f.entries.dtype == gauged.l.weights.dtype == np.complex128
+    with pytest.raises(ValueError, match="nonzero"):
+        form.gauge(0.0)
+    with pytest.raises(TypeError, match="scalar"):
+        Vector([1.0, 2.0]) * np.array([3.0, 4.0])

@@ -204,17 +204,6 @@ def test_denominator_function_smallest_grids(n):
         assert d_fn(z) == pytest.approx(direct, abs=1e-12)
 
 
-def test_static_deviation_stays_at_noise_floor():
-    # kernel reproduction is exact, so deviations never exceed roundoff
-    for n in (100, 200, 400):
-        pair = build_pair(n)
-        diff = inverse_difference(pair)
-        x = pair.grid.nodes
-        dev = np.max(np.abs(diff.matrix / pair.grid.h - np.outer(x, x)))
-        assert dev <= 5 * pair.grid.h
-        assert dev <= 1e-10
-
-
 @pytest.mark.parametrize("n", [200, 1000])
 def test_resolvent_rejects_spectrum_hit_on_fine_grids(n):
     # The pivot ratio at z = lambda_1 is ~1e-12 here, so a pivot rule misses

@@ -141,6 +141,15 @@ def test_resolvent_difference_raises_on_eigenvalue_hit():
         resolvent_difference(r1, z0, form)
 
 
+def test_both_paths_refuse_a_resolvent_built_at_another_z():
+    pair, d, probe, form = recovered_setup(20)
+    r1 = discretize.resolvent(pair.t_dd, 1.0)
+    with pytest.raises(ValueError, match="resolvent at z="):
+        resolvent_difference(r1, 2.0, form)
+    with pytest.raises(ValueError, match="resolvent at z="):
+        probing.resolvent_difference_factor_free(r1, 2.0, d, probe)
+
+
 def _both_paths(n: int, z: complex):
     """The factor-based and the factor-free Krein difference at z, on the n-node testbed."""
     pair, d, probe, form = recovered_setup(n)

@@ -269,16 +269,6 @@ def test_certificate_accepts_own_null_vector():
         assert null_space_certificate(a_inv, form, result.null_vector), seed
 
 
-@pytest.mark.parametrize("dim", [3, 8, 32])
-def test_regular_residual_invariant(dim):
-    rng = np.random.default_rng(100 + dim)
-    a, a_inv, form = regular_instance(rng, dim)
-    result = perturbed_inverse(a_inv, form)
-    assert isinstance(result, RegularInverse)
-    residual = (a - form.materialize()) @ result.apply_to(a_inv)
-    assert np.max(np.abs(residual.matrix - np.eye(dim))) <= 1e-9
-
-
 @pytest.mark.parametrize("alpha", [2.0, -0.5, 1.7 - 2.3j])
 def test_gauge_invariance_of_update(alpha):
     rng = np.random.default_rng(43)

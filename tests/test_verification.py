@@ -3,6 +3,7 @@
 import contextlib
 import io
 import math
+import types
 
 import numpy as np
 import pytest
@@ -113,10 +114,12 @@ def test_registry_runs_every_invariant_once_in_row_order():
 
 def test_nan_deviation_fails_its_check(monkeypatch):
     monkeypatch.setattr(laplace, "scalar_pairing", lambda s: complex(math.nan, 0.0))
-    for check in (verification.check_denominator_consistency_chain, verification.check_pairing_quadrature):
+    poisoned = [verification.check_denominator_consistency_chain, verification.check_pairing_quadrature]
+    for check in poisoned:
         result = check(verification.DEFAULT_SEED)
         assert not result.passed
         assert math.isnan(result.measured)
+    monkeypatch.setattr(verification, "ALL_CHECKS", poisoned)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify"]) == cli.EXIT_INVARIANT_FAILURE
 
@@ -126,3 +129,20 @@ def test_check_without_deviations_fails_with_infinite_measure(monkeypatch):
     result = verification.check_eigenvalue_consistency(verification.DEFAULT_SEED)
     assert not result.passed
     assert result.measured == math.inf
+
+
+def test_static_kernel_deviation_above_roundoff_fails_even_when_it_shrinks(monkeypatch):
+    # Deviations 1e-6, 1e-7, 1e-8 at n = 100, 200, 400 shrink with n, but the
+    # scheme reproduces x_i*x_j exactly, so any deviation above roundoff fails.
+    deviation = {100: 1e-6, 200: 1e-7, 400: 1e-8}
+
+    def off_by_deviation(pair):
+        x, h = pair.grid.nodes, pair.grid.h
+        matrix = h * np.outer(x, x)
+        matrix[0, 0] += h * deviation[pair.grid.n]
+        return types.SimpleNamespace(matrix=matrix)
+
+    monkeypatch.setattr(discretize, "inverse_difference", off_by_deviation)
+    result = verification.check_static_kernel_convergence(verification.DEFAULT_SEED)
+    assert not result.passed
+    assert result.measured == pytest.approx(1e-6, rel=1e-6)
