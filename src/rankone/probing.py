@@ -5,8 +5,8 @@ probe pair (f0, l0) with <l0|D f0> != 0 reconstructs a factorization
 
     f1 = D f0 / <l0|D f0>,      l1 = l0 D,
 
-and bilinear values <l|S f> follow from the quotient
-<l0|D S D f0> / <l0|D f0> without ever knowing f or l separately.
+and bilinear values <l|S f> are <l1|S f1>, the same for every
+factorization, without ever knowing f or l separately.
 """
 
 from __future__ import annotations
@@ -94,41 +94,32 @@ def coordinate_probe(d: Operator, i: int, j: int) -> Probe:
     return Probe(f0=Vector.basis(i, d.dim, float), l0=l0, pairing=d.apply_left(l0.weights)[i].item())
 
 
-def _require_admissible(
-    d: Operator, probe: Probe, d_f0: np.ndarray, l0_d: np.ndarray | None = None
-) -> float:
-    """Check the probe pairing against ||D||_max and return that norm.
-
-    A dense D reads ||D||_max off its entries.  For any other D it is
-    max|D f0| max|l0 D| / |<l0|D f0>| (``l0_d`` = l0 D, applied here when
-    not given), which equals ||D||_max when D has rank one.
-    """
-    if isinstance(d, DenseOperator):
-        d_max = d.norm_max()
-    else:
-        l0_d = d.apply_left(probe.l0.weights) if l0_d is None else l0_d
-        span = float(np.abs(d_f0).max() * np.abs(l0_d).max())
-        d_max = span / abs(probe.pairing) if probe.pairing else np.inf
-    if abs(probe.pairing) <= ADMISSIBILITY_RTOL * d_max:
-        raise InadmissibleProbeError(
-            f"probe pairing {probe.pairing:.3e} below admissibility threshold"
-        )
-    return d_max
-
-
 def _divide(x: np.ndarray, pairing: float | complex) -> np.ndarray:
     if abs(pairing) < 2.0**-1000:  # 1 / pairing may overflow: scale it and x by 2^1000 first, which is exact
         x, pairing = x * 2.0**1000, pairing * 2.0**1000
     return x * (1.0 / pairing)
 
 
-def _probe_quotient(d: Operator, probe: Probe) -> tuple[np.ndarray, np.ndarray, float]:
-    """f1 = D f0 / <l0|D f0> and l1 = l0 D for an admissible probe, with ||D||_max."""
+def _probe_quotient(d: Operator, probe: Probe) -> tuple[np.ndarray, np.ndarray]:
+    """f1 = D f0 / p and l1 = l0 D, with p = <l0|D f0>, for an admissible probe.
+
+    The probe is admissible when |p| > ADMISSIBILITY_RTOL ||D||_max.  A
+    dense D reads ||D||_max off its entries.  For any other D the ratio
+    |p| / ||D||_max is read as (|p| / max|D f0|) (|p| / max|l0 D|): two
+    ratios in [0, 1], equal to it when D has rank one, and free of any
+    product of D's entries, so the test holds at every scale of D.
+    """
     _check_dims(d.dim, probe.f0.dim)
     d_f0 = d.apply(probe.f0.entries)
     l1 = d.apply_left(probe.l0.weights)
-    d_max = _require_admissible(d, probe, d_f0, l1)
-    return _divide(d_f0, probe.pairing), l1, d_max
+    p = abs(probe.pairing)
+    if isinstance(d, DenseOperator):
+        admissible = p > ADMISSIBILITY_RTOL * d.norm_max()
+    else:
+        admissible = p > 0 and (p / np.abs(d_f0).max()) * (p / np.abs(l1).max()) > ADMISSIBILITY_RTOL
+    if not admissible:
+        raise InadmissibleProbeError(f"probe pairing {probe.pairing:.3e} below admissibility threshold")
+    return _divide(d_f0, probe.pairing), l1
 
 
 def recover_factors(d: Operator, probe: Probe) -> RankOneForm:
@@ -139,33 +130,32 @@ def recover_factors(d: Operator, probe: Probe) -> RankOneForm:
     gate is the reconstruction residual, ||D - |f1><l1|||_max <=
     RANK_TOL * ||D||_max, which is zero exactly when D has rank one and
     costs O(n^2).  An action-only D is gated on the sketch
-    ||(D - |f1><l1|) g||_max <= RANK_TOL * ||D||_max * ||g||_1 with the
-    fixed :func:`_test_vector` g: one more action.  It accepts every D the
+    ||(D - |f1><l1|) g||_max <= RANK_TOL * max|f1| max|l1| * ||g||_1 with
+    the fixed :func:`_test_vector` g: one more action, and max|f1| max|l1|
+    is ||D||_max when D has rank one.  It accepts every D the
     dense gate accepts; a second rank component that oscillates against g
     must be up to ~sqrt(n) times larger than under the dense gate to be
     refused.
     """
-    f1, l1, d_max = _probe_quotient(d, probe)
+    f1, l1 = _probe_quotient(d, probe)
     if isinstance(d, DenseOperator):
         residual = np.multiply.outer(f1, l1)
         residual -= d.matrix
-        bound = RANK_TOL * d_max
+        bound = RANK_TOL * d.norm_max()
     else:
         g = _test_vector(d.dim)
         residual = d.apply(g) - f1 * (l1 @ g)
-        bound = RANK_TOL * d_max * float(np.sum(np.abs(g)))
+        bound = RANK_TOL * np.abs(f1).max() * np.abs(l1).max() * float(np.sum(np.abs(g)))
     if np.max(np.abs(residual)) > bound:
         raise NotRankOneError("difference operator has rank > 1")
     return RankOneForm(f=Vector(f1), l=Functional(l1))
 
 
 def bilinear_value(d: Operator, s: Operator, probe: Probe) -> complex:
-    """<l|S f> for any factorization D = |f><l|, via <l0|D S D f0>/<l0|D f0>."""
+    """<l|S f> for any factorization D = |f><l|: <l1|S f1> for the probe's factors."""
     _check_dims(d.dim, s.dim)
-    _check_dims(d.dim, probe.f0.dim)
-    d_f0 = d.apply(probe.f0.entries)
-    _require_admissible(d, probe, d_f0)
-    return complex(np.dot(probe.l0.weights, d.apply(s.apply(d_f0)))) / probe.pairing
+    f1, l1 = _probe_quotient(d, probe)
+    return complex(np.dot(l1, s.apply(f1)))
 
 
 def resolvent_difference_factor_free(
@@ -180,5 +170,5 @@ def resolvent_difference_factor_free(
     applied to D f0 and l0 D, so the cost is a handful of actions: O(n) on
     the tridiagonal testbed.
     """
-    f1, l1, _ = _probe_quotient(d, probe)
+    f1, l1 = _probe_quotient(d, probe)
     return resolvent_difference(r1, z, RankOneForm(Vector(f1), Functional(l1)))

@@ -67,21 +67,6 @@ def test_build_pair_requires_two_nodes():
         build_pair(1)
 
 
-def test_inverse_difference_matches_ramp_kernel():
-    pair = build_pair(200)
-    diff = inverse_difference(pair)
-    x = pair.grid.nodes
-    dev = np.max(np.abs(diff.matrix / pair.grid.h - np.outer(x, x)))
-    assert dev <= 5 * pair.grid.h
-    # the mirror-ghost scheme actually reproduces x_i x_j exactly
-    assert dev <= 1e-10
-
-
-def test_inverse_difference_is_rank_one():
-    sigma = np.linalg.svd(inverse_difference(build_pair(64)).matrix, compute_uv=False)
-    assert np.count_nonzero(sigma > 1e-8 * sigma[0]) == 1
-
-
 def test_inverse_difference_hand_check_n3():
     pair = build_pair(3)
     diff = inverse_difference(pair)

@@ -196,19 +196,6 @@ def test_scalar_pairing_zero_limit():
     assert scalar_pairing(s_from(1e-9)) == pytest.approx(-1 / 3, abs=1e-9)
 
 
-def test_scalar_pairing_matches_quadrature():
-    for z in (1.0, 7.3, 0.5 + 2.0j, -4.0 + 0.7j):
-        s = s_from(z)
-        k = s.k
-
-        def integrand(t: float) -> complex:
-            return -t * cmath.sin(k * t) / cmath.sin(k)
-
-        re, _ = scipy.integrate.quad(lambda t: integrand(t).real, 0, 1, epsabs=1e-13, epsrel=1e-13)
-        im, _ = scipy.integrate.quad(lambda t: integrand(t).imag, 0, 1, epsabs=1e-13, epsrel=1e-13)
-        assert scalar_pairing(s) == pytest.approx(re + 1j * im, abs=1e-10)
-
-
 def test_scalar_pairing_series_against_mpmath():
     # high-precision oracle for the small-|k| Taylor branch
     for k in (1e-5, 5e-5, 9.9e-5):

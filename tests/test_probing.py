@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rankone import discretize
-from rankone.core import DenseOperator, DimensionMismatchError, Functional, Vector, invert, outer, pair
+from rankone.core import DenseOperator, DimensionMismatchError, Functional, LowRankProduct, Vector, invert, outer, pair
 from rankone.krein import EigenvalueHitError, resolvent_difference
 from rankone.probing import (
     ADMISSIBILITY_RTOL,
@@ -148,7 +148,7 @@ def test_recover_factors_rejects_inadmissible_probe():
 
 
 def test_bilinear_value_identity_weight():
-    # (D^2)[0,0]/3 = 33/3 = 11 = <l|f>
+    # f1 = D e1 / 3 = (1, 2) and l1 = e1 D = (3, 4), so <l1|f1> = 11 = <l|f>
     probe = coordinate_probe(D_EXAMPLE, 0, 0)
     assert bilinear_value(D_EXAMPLE, DenseOperator(np.eye(2)), probe) == pytest.approx(11)
 
@@ -167,6 +167,22 @@ def test_bilinear_value_matches_direct_pairing():
     direct = pair(l, s @ f)
     quotient = bilinear_value(d, s, choose_probe(d))
     assert abs(quotient - direct) <= 1e-10 * abs(direct)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e160, 1e300])
+@pytest.mark.parametrize("kind", ["outer", "LowRankProduct"])
+def test_probing_holds_at_every_scale_of_d(kind, scale):
+    # D = scale |f><l| with f and l in [-1, 1]^50 keeps D g finite at scale 1e300.
+    rng = np.random.default_rng(43)
+    n = 50
+    f, l = scale * rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
+    s = random_operator(rng, n)
+    d = outer(Vector(f), Functional(l)) if kind == "outer" else LowRankProduct(f[:, None], l[None, :])
+    probe = choose_probe(d)
+    form = recover_factors(d, probe)
+    assert np.max(np.abs(form.materialize().matrix - d.matrix)) <= 1e-10 * d.norm_max()
+    direct = l @ (s.matrix @ f)
+    assert abs(bilinear_value(d, s, probe) - direct) <= 1e-14 * abs(direct)
 
 
 @settings(max_examples=20, deadline=None)
