@@ -23,7 +23,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .core import DenseOperator, Functional, Operator, RankOneForm, Vector, _check_dims, pair
+from .core import DenseOperator, Functional, Operator, RankOneForm, Vector, _check_dims, norm2
 
 
 class SingularPerturbationError(ArithmeticError):
@@ -77,7 +77,7 @@ class SingularInverse:
 
 PerturbedInverseResult = RegularInverse | SingularInverse
 
-# Relative tolerance of each of the three tests in null_space_certificate.
+# Relative tolerance of null_space_certificate's pairing and collinearity tests.
 CERTIFICATE_RTOL = 1e-9
 
 
@@ -98,19 +98,10 @@ def update_denominator(
         u = apply(f)
         c_l_u = c * np.dot(l, u).item()
         # 1e-10 goes first so that the band overflows only where it exceeds every finite den.
-        band = 1e-10 + 1e-10 * abs(c) * _norm(l) * _norm(u)
+        band = 1e-10 + 1e-10 * abs(c) * norm2(l) * norm2(u)
     if not math.isfinite(math.hypot(c_l_u.real, c_l_u.imag)):
         raise ValueError(f"c <l|A^-1 f> = {c_l_u} is out of floating-point range")
     return u, 1.0 - c_l_u, band
-
-
-def _norm(x: np.ndarray) -> float:
-    """||x||_2, rescaled by max |x_i| when the sum of squares overflows (entries >~ 1e154)."""
-    norm = math.sqrt(np.vdot(x, x).real)
-    if math.isinf(norm):
-        scale = float(np.max(np.abs(x)))
-        norm = scale * float(np.linalg.norm(x / scale))
-    return norm
 
 
 def denominator(a_inv: Operator, p: RankOneForm) -> float | complex:
@@ -163,26 +154,25 @@ def solve_perturbed(a_inv: Operator, p: RankOneForm, w: Vector) -> Vector:
 def null_space_certificate(a_inv: Operator, p: RankOneForm, v0: Vector) -> bool:
     """Check that a nonzero v0 spans the kernel of B = A - |f><l|.
 
-    True iff <l|v0> is nonzero, the denominator 1 - <l|A^-1 f> vanishes,
-    and v0 is collinear with A^-1 f (sine of the angle), each up to
-    CERTIFICATE_RTOL relative.  Raises ValueError when <l|A^-1 f>
-    overflows.
+    True iff the denominator 1 - <l|A^-1 f> is inside the band of
+    :func:`update_denominator`, |<l|v0>| > CERTIFICATE_RTOL ||l|| ||v0||,
+    and v0 is collinear with A^-1 f up to CERTIFICATE_RTOL (sine of the
+    angle).  Every test is relative, so it holds at every scale of v0 and
+    under the gauge (f, l) -> (af, l/a).  Raises ValueError when
+    <l|A^-1 f> overflows.
     """
     _check_dims(a_inv.dim, v0.dim)
     _check_dims(a_inv.dim, p.dim)
-    if v0.norm() == 0.0:
+    nv = v0.norm()
+    if nv == 0.0:
         raise ValueError("v0 must be nonzero")
-    u, den, _ = update_denominator(a_inv.apply, p.f.entries, p.l.weights, 1.0)
-
-    pairing_ok = abs(pair(p.l, v0)) > CERTIFICATE_RTOL * max(1.0, p.l.norm() * v0.norm())
-    denominator_ok = abs(den) <= CERTIFICATE_RTOL * (1.0 + abs(1.0 - den))
-
-    nu, nv = float(np.linalg.norm(u)), v0.norm()
-    if nu == 0.0:
+    u, den, band = update_denominator(a_inv.apply, p.f.entries, p.l.weights, 1.0)
+    if abs(den) > band:
         return False
-    # Sine of the angle from the residual of projecting v0 on u:
+    # Inside the band u != 0 (f = 0 forces den = 1), so both unit vectors exist.
+    v, w = v0.entries / nv, u / norm2(u)
+    pairing_ok = abs(np.dot(p.l.weights, v)) > CERTIFICATE_RTOL * p.l.norm()
+    # Sine of the angle from the residual of projecting v on w:
     # sqrt(1 - cos^2) would have a rounding floor near 1.5e-8, above CERTIFICATE_RTOL.
-    projection = u * (np.vdot(u, v0.entries) / nu**2)
-    collinear_ok = np.linalg.norm(v0.entries - projection) / nv <= CERTIFICATE_RTOL
-
-    return bool(pairing_ok and denominator_ok and collinear_ok)
+    collinear_ok = norm2(v - w * np.vdot(w, v)) <= CERTIFICATE_RTOL
+    return bool(pairing_ok and collinear_ok)

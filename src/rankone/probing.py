@@ -103,21 +103,17 @@ def _divide(x: np.ndarray, pairing: float | complex) -> np.ndarray:
 def _probe_quotient(d: Operator, probe: Probe) -> tuple[np.ndarray, np.ndarray]:
     """f1 = D f0 / p and l1 = l0 D, with p = <l0|D f0>, for an admissible probe.
 
-    The probe is admissible when |p| > ADMISSIBILITY_RTOL ||D||_max.  A
-    dense D reads ||D||_max off its entries.  For any other D the ratio
-    |p| / ||D||_max is read as (|p| / max|D f0|) (|p| / max|l0 D|): two
-    ratios in [0, 1], equal to it when D has rank one, and free of any
-    product of D's entries, so the test holds at every scale of D.
+    The probe is admissible when (|p| / max|D f0|) (|p| / max|l0 D|) >
+    ADMISSIBILITY_RTOL, the one test for every D.  The product reads
+    |p| / ||D||_max from the two actions already taken: each ratio lies in
+    [0, 1], they equal it when D has rank one, and no product of D's entries
+    is formed, so the test holds at every scale of D.  p = 0 is refused.
     """
     _check_dims(d.dim, probe.f0.dim)
     d_f0 = d.apply(probe.f0.entries)
     l1 = d.apply_left(probe.l0.weights)
     p = abs(probe.pairing)
-    if isinstance(d, DenseOperator):
-        admissible = p > ADMISSIBILITY_RTOL * d.norm_max()
-    else:
-        admissible = p > 0 and (p / np.abs(d_f0).max()) * (p / np.abs(l1).max()) > ADMISSIBILITY_RTOL
-    if not admissible:
+    if not (p > 0 and (p / np.abs(d_f0).max()) * (p / np.abs(l1).max()) > ADMISSIBILITY_RTOL):
         raise InadmissibleProbeError(f"probe pairing {probe.pairing:.3e} below admissibility threshold")
     return _divide(d_f0, probe.pairing), l1
 

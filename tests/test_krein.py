@@ -107,15 +107,6 @@ def test_resolvent_difference_at_zero_is_negated_outer():
     assert_allclose(diff.materialize().matrix, -form.materialize().matrix, atol=1e-14)
 
 
-def test_resolvent_difference_matches_brute_force_on_discrete_pair():
-    pair, _, _, form = recovered_setup(200)
-    z = 1.0
-    r1 = discretize.resolvent(pair.t_dd, z)
-    krein_path = resolvent_difference(r1, z, form).materialize()
-    brute = discretize.resolvent(pair.t_dn, z) - r1
-    assert np.max(np.abs(krein_path.matrix - brute.matrix)) <= 1e-8
-
-
 def test_resolvent_difference_tracks_analytic_kernel():
     # frozen analytic value at (0.5, 0.5): -sin^2(0.5)/(sin 1 cos 1)
     s = SpectralPoint.from_z(1.0 + 0j)

@@ -66,16 +66,6 @@ def test_singular_branch_two_by_two():
     assert_allclose(result.null_vector.entries, [1, 0])
 
 
-def test_regular_branch_matches_brute_force_inverse():
-    rng = np.random.default_rng(17)
-    a, a_inv, form = regular_instance(rng, 8)
-    result = perturbed_inverse(a_inv, form)
-    assert isinstance(result, RegularInverse)
-    oracle = invert(a - form.materialize())
-    dev = np.max(np.abs(result.apply_to(a_inv).matrix - oracle.matrix))
-    assert dev <= 1e-10 * np.max(np.abs(oracle.matrix))
-
-
 def test_solve_one_dimensional():
     # A=[2], f=[1], l=(1), w=[1]: B=[1], so v=w; c = 0.5/0.5 = 1, v = 0.5*(1+1)
     a_inv = DenseOperator([[0.5]])
@@ -119,7 +109,6 @@ def test_solve_with_tridiagonal_resolvent_matches_dense_solve():
     assert np.max(np.abs(v.entries - direct)) <= 1e-10 * np.max(np.abs(direct))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_update_raises_value_error():
     # A = 1e-200 I inverts without trouble, but A^-1 f = 1e400 overflows.
     a_inv = invert(DenseOperator(1e-200 * np.eye(2)))
@@ -130,7 +119,6 @@ def test_overflowing_update_raises_value_error():
         solve_perturbed(a_inv, form, Vector([1, 1]))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_pairing_raises_value_error():
     # B = I - |f><l| is invertible, but <l|A^-1 f> = 2e308 overflows; taken
     # as it is, it would widen the tolerance band to infinity and report B singular.
@@ -157,7 +145,6 @@ def test_reading_an_overflowing_correction_raises_value_error():
         result.apply_to(a_inv)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("cls", [RegularInverse, ResolventDifference])
 def test_materializing_an_overflowing_term_raises_without_a_warning(cls):
     # Finite factors whose outer product, 1e400, overflows: one ValueError, no numpy warning.
@@ -256,28 +243,28 @@ def test_certificate_on_crafted_singular_instance():
     v0 = a_inv @ form.f
     assert null_space_certificate(a_inv, form, v0)
     assert null_space_certificate(a_inv, form, (2.0 - 1.0j) * v0)
+    # Every test of the certificate is relative: the kernel is the same at
+    # every scale of v0 and under every gauge of (f, l).
+    for s in (1e-200, 2.0**-60, 1e-12, 2.0**60, 1e200):
+        assert null_space_certificate(a_inv, form, s * v0), s
+    for a in (2.0**-60, 2.0**60, 1e-100, 1e100):
+        assert null_space_certificate(a_inv, form.gauge(a), v0), a
 
 
 def test_certificate_accepts_own_null_vector():
     # Taking the sine as sqrt(1 - cos^2) left a rounding floor of ~1.5e-8,
-    # above the default tol, and rejected about a third of these.
+    # above the default tol, and rejected about a third of the seeded cases.
+    cases = []
     for seed in range(40):
         rng = np.random.default_rng(seed)
-        _, a_inv, form = singular_instance(rng, int(rng.integers(4, 65)))
+        cases.append(singular_instance(rng, int(rng.integers(4, 65)))[1:])
+    # A = I2 with den = 1e-7, inside the band 1e-10 (1 + ||l|| ||A^-1 f||) ~ 1e-10 t^2.
+    for t in (1e2, 1e4):
+        cases.append((DenseOperator(np.eye(2)), RankOneForm(Vector([1, t]), Functional([1 - 1e-7 - t, 1]))))
+    for i, (a_inv, form) in enumerate(cases):
         result = perturbed_inverse(a_inv, form)
-        assert isinstance(result, SingularInverse)
-        assert null_space_certificate(a_inv, form, result.null_vector), seed
-
-
-@pytest.mark.parametrize("alpha", [2.0, -0.5, 1.7 - 2.3j])
-def test_gauge_invariance_of_update(alpha):
-    rng = np.random.default_rng(43)
-    _, a_inv, form = regular_instance(rng, 8)
-    base = perturbed_inverse(a_inv, form)
-    scaled = perturbed_inverse(a_inv, form.gauge(alpha))
-    assert isinstance(base, RegularInverse) and isinstance(scaled, RegularInverse)
-    assert abs(base.denominator - scaled.denominator) <= 1e-12
-    assert np.max(np.abs(base.correction.matrix - scaled.correction.matrix)) <= 1e-12
+        assert isinstance(result, SingularInverse), i
+        assert null_space_certificate(a_inv, form, result.null_vector), i
 
 
 def test_gauge_preserves_null_vector_direction():

@@ -104,7 +104,7 @@ def test_verify_check(name, check):
     assert result.passed, f"{name}: measured {result.measured!r}, threshold {result.threshold!r}"
 
 
-def test_registry_runs_every_invariant_once_in_row_order():
+def test_checks_are_found_by_their_function_names():
     # The benchmark looks single checks up by their function names.
     for check in verification.ALL_CHECKS:
         assert check.__name__.startswith("check_")
